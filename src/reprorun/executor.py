@@ -3,10 +3,14 @@
 Each (interpreter x cleaning mode) run of a package gets a fresh copy of
 the package directory; files execute sequentially in lexicographic
 filename order against a per-file wall-clock budget and a cumulative
-per-package budget. Timed-out process trees are killed as a group.
-Interpreter invocation is an adapter: production configs launch real R
-(optionally containerized) while tests use the scripted stub in
-``reprorun.stubr``, so the suite runs on machines without R.
+per-package budget. Each child runs in its own process group. Its exit
+is awaited on a pidfd (Linux), so it is seen as soon as it happens; where
+``os.pidfd_open`` is missing or fails, ``Popen.wait`` polls instead. When
+the child exits or its budget runs out, its whole process group is
+killed, so no background process outlives the run. Interpreter
+invocation is an adapter: production configs launch real R (optionally
+containerized) while tests use the scripted stub in ``reprorun.stubr``,
+so the suite runs on machines without R.
 """
 
 from __future__ import annotations
@@ -14,6 +18,7 @@ from __future__ import annotations
 import os
 import queue
 import re
+import select
 import shutil
 import signal
 import subprocess
@@ -172,12 +177,41 @@ def no_network_env() -> dict:
     }
 
 
-def _kill_tree(proc: subprocess.Popen) -> None:
+def _await_exit(proc: subprocess.Popen, timeout: float) -> bool:
+    """Wait up to timeout seconds for the child to exit; True if it did.
+
+    On the pidfd path the child is left unreaped: as a zombie it keeps its
+    pid, and so its process group id, from being reused before
+    _kill_group signals the group.
+    """
     try:
-        os.killpg(os.getpgid(proc.pid), signal.SIGKILL)
+        pidfd = os.pidfd_open(proc.pid)
+    except (AttributeError, OSError):  # not Linux, a kernel before 5.3, or no free fd
+        try:
+            proc.wait(timeout=timeout)
+        except subprocess.TimeoutExpired:
+            return False
+        return True
+    try:
+        poller = select.poll()
+        poller.register(pidfd, select.POLLIN)
+        return bool(poller.poll(timeout * 1000))
+    finally:
+        os.close(pidfd)
+
+
+def _kill_group(proc: subprocess.Popen) -> int:
+    """SIGKILL the child's process group, then reap the child.
+
+    start_new_session=True makes the group id the child's pid. On the
+    polling path the child is already reaped, and the group is gone if no
+    descendant is left.
+    """
+    try:
+        os.killpg(proc.pid, signal.SIGKILL)
     except (ProcessLookupError, PermissionError):
         proc.kill()
-    proc.wait()
+    return proc.wait()
 
 
 def _read_tail(fh, limit: int) -> str:
@@ -201,11 +235,13 @@ def execute_file(
 ) -> ExecutionOutcome:
     """Run one script with the workspace as working directory.
 
-    The child runs in its own process group and the whole group is killed
-    at budget expiry (verdict tle, no exit code). Exit 0 within budget is
-    success; anything else is an error classified from the captured
-    stderr tail. A missing interpreter raises InterpreterConfigError
-    instead of producing a script verdict.
+    The child runs in its own process group. Its exit is awaited on a
+    pidfd where the platform has one, else by polling ``Popen.wait``.
+    The whole group is killed when the child exits or at budget expiry
+    (verdict tle, no exit code), so background processes die with it.
+    Exit 0 within budget is success; anything else is an error
+    classified from the captured stderr tail. A missing interpreter
+    raises InterpreterConfigError instead of producing a script verdict.
     """
     # the child resolves relative argv against its own cwd (the workspace),
     # so the template must be filled with absolute paths
@@ -240,12 +276,14 @@ def execute_file(
         except FileNotFoundError as exc:
             raise InterpreterConfigError(f"interpreter {interpreter.label!r}: {exc}") from exc
         try:
-            outcome.exit_code = proc.wait(timeout=budget_seconds)
-            outcome.verdict = VERDICT_SUCCESS if outcome.exit_code == 0 else VERDICT_ERROR
-        except subprocess.TimeoutExpired:
-            _kill_tree(proc)
+            exited = _await_exit(proc, budget_seconds)
+        finally:
+            exit_code = _kill_group(proc)
+        if exited:
+            outcome.exit_code = exit_code
+            outcome.verdict = VERDICT_SUCCESS if exit_code == 0 else VERDICT_ERROR
+        else:
             outcome.verdict = VERDICT_TLE
-            outcome.exit_code = None
         outcome.wall_time = time.monotonic() - start
         outcome.stderr_tail = _read_tail(stderr_fh, stderr_limit)
     if outcome.verdict == VERDICT_ERROR:
@@ -341,6 +379,9 @@ def execute_package(
     return outcomes
 
 
+_JOB_DONE = object()  # run_matrix: queued once per finished package job
+
+
 def run_matrix(
     manifests: list[PackageManifest],
     interpreters: list[InterpreterSpec],
@@ -401,14 +442,17 @@ def run_matrix(
 
     pool = ThreadPoolExecutor(max_workers=max(1, jobs))
     futures = [pool.submit(job, m) for m in manifests]
+    for f in futures:
+        # also called when the job raises, so the count below always reaches zero
+        f.add_done_callback(lambda _: out_queue.put(_JOB_DONE))
     try:
-        while True:
-            if all(f.done() for f in futures) and out_queue.empty():
-                break
-            try:
-                yield out_queue.get(timeout=0.05)
-            except queue.Empty:
-                continue
+        running = len(futures)
+        while running:
+            item = out_queue.get()
+            if item is _JOB_DONE:
+                running -= 1
+            else:
+                yield item
         for f in futures:
             f.result()  # propagate config/store errors
     finally:

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import os
 import time
 from collections import Counter
 from pathlib import Path
@@ -63,27 +64,60 @@ def run_one(tmp_path: Path, content: str, budget: float = 20.0, spec=None, **kwa
     return execute_file(script, spec or stub_spec(), budget, workdir, **kwargs)
 
 
-def test_zero_exit_is_success(tmp_path: Path):
+@pytest.fixture(params=["pidfd", "polling"])
+def wait_path(request, monkeypatch):
+    """Run a test on the pidfd wait and on the polling fallback."""
+    if request.param == "polling":
+        monkeypatch.delattr(os, "pidfd_open", raising=False)
+
+
+def test_zero_exit_is_success(tmp_path: Path, wait_path):
     outcome = run_one(tmp_path, "x <- 1\nprint(x)\n")
     assert outcome.verdict == "success"
     assert outcome.exit_code == 0
     assert outcome.error_category is None
 
 
-def test_sleep_beyond_budget_is_tle(tmp_path: Path):
+def test_sleep_beyond_budget_is_tle(tmp_path: Path, wait_path):
     start = time.monotonic()
     outcome = run_one(tmp_path, "Sys.sleep(5)\n", budget=0.5)
     assert outcome.verdict == "tle"
     assert outcome.exit_code is None
+    assert outcome.error_category is None
     assert outcome.wall_time <= 1.0
     assert time.monotonic() - start < 3.0  # the kill really happened
 
 
-def test_missing_library_is_error_library(tmp_path: Path):
+def test_missing_library_is_error_library(tmp_path: Path, wait_path):
     outcome = run_one(tmp_path, "library(xyz)\n")
     assert outcome.verdict == "error"
+    assert outcome.exit_code == 1
     assert outcome.error_category == "library"
     assert "there is no package called" in outcome.stderr_tail
+
+
+def _exited(pid: int) -> bool:
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return True
+    # a killed orphan stays a zombie until init reaps it, which can take seconds
+    try:
+        return Path(f"/proc/{pid}/stat").read_text().rsplit(")", 1)[1].split()[0] == "Z"
+    except OSError:
+        return False
+
+
+def test_background_child_killed_after_success(tmp_path: Path, wait_path):
+    spec = InterpreterSpec("sh", ("sh", "{script}"))
+    outcome = run_one(tmp_path, "sleep 30 & echo $! > bg.pid\nexit 0\n", spec=spec)
+    assert outcome.verdict == "success"
+    pid = int((tmp_path / "ws" / "bg.pid").read_text())
+    # SIGKILL is delivered asynchronously; allow it to land, not the sleep to end
+    deadline = time.monotonic() + 10.0
+    while not _exited(pid) and time.monotonic() < deadline:
+        time.sleep(0.01)
+    assert _exited(pid)
 
 
 def test_bad_setwd_is_error_setwd(tmp_path: Path):
