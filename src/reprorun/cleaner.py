@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import difflib
 import re
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 from . import rsource
@@ -35,6 +35,7 @@ MIRROR_INJECTED = "mirror_injected"
 
 _ABSOLUTE_PATH_RE = re.compile(r"^(/|~|[A-Za-z]:[/\\]|\\\\)")
 _REPOS_ARG_RE = re.compile(r"\brepos\s*=")
+_LOAD_CALL_RE = re.compile(r"\s*(library|require)\s*\(")
 
 
 @dataclass(frozen=True)
@@ -47,7 +48,7 @@ class CleanAction:
     after: str
 
     def to_dict(self) -> dict:
-        return {"kind": self.kind, "line": self.line, "before": self.before, "after": self.after}
+        return asdict(self)
 
 
 @dataclass
@@ -61,13 +62,7 @@ class CleanReport:
     error: str | None = None
 
     def to_dict(self) -> dict:
-        return {
-            "path": self.path,
-            "actions": [a.to_dict() for a in self.actions],
-            "was_ascii": self.was_ascii,
-            "output_path": self.output_path,
-            "error": self.error,
-        }
+        return asdict(self)
 
 
 class CleanWriteError(OSError):
@@ -127,7 +122,7 @@ def rewrite_setwd(text: str) -> tuple[str, list[CleanAction]]:
     for lineno, line in enumerate(lines, start=1):
         if rsource.classify_line(line) != rsource.CODE:
             continue
-        code = rsource.code_portion(line)
+        code = rsource.mask_strings(line).partition("#")[0]
         for _, name_start, open_idx in reversed(rsource.find_calls(code, ("setwd",))):
             close = rsource.matching_paren(code, open_idx)
             if close is None:
@@ -145,16 +140,21 @@ def rewrite_setwd(text: str) -> tuple[str, list[CleanAction]]:
 
 def _wrap_candidates(line: str) -> list[tuple[int, int, str]]:
     """(start, end, text) slices on one line to wrap in basename(...), rightmost first."""
-    code_end = rsource.comment_start(line)
-    limit = len(line) if code_end is None else code_end
+    literals = [
+        (start, end)
+        for start, end in rsource.string_spans(line)
+        if end - start >= 2 and line[end - 1] == line[start]  # terminated
+        and _ABSOLUTE_PATH_RE.match(line[start + 1 : end - 1])
+    ]
+    if not literals:
+        return []  # only lines holding an absolute-path literal pay for the mask
+    masked = rsource.mask_strings(line)
+    code_end = len(masked.partition("#")[0])
     out: list[tuple[int, int, str]] = []
-    for start, end in reversed(rsource.string_spans(line[:limit])):
-        if end - start < 2 or line[end - 1] != line[start]:
-            continue  # unterminated literal
-        content = line[start + 1 : end - 1]
-        if not _ABSOLUTE_PATH_RE.match(content):
-            continue
-        if rsource.paren_depth_before(line, start) < 1:
+    for start, end in reversed(literals):
+        if start >= code_end:
+            continue  # inside the comment
+        if masked.count("(", 0, start) - masked.count(")", 0, start) < 1:
             continue  # only literals appearing as call arguments
         wrap_start, wrap_end = start, end
         enclosing = _enclosing_call(line, start)
@@ -163,7 +163,7 @@ def _wrap_candidates(line: str) -> list[tuple[int, int, str]]:
             if enc_name == "basename":
                 continue  # already wrapped
             if enc_name == "file.path":
-                enc_close = rsource.matching_paren(line, enc_open)
+                enc_close = rsource.matching_paren(masked, enc_open)
                 sole_arg = (
                     enc_close is not None
                     and line[enc_open + 1 : enc_close].strip() == line[start:end]
@@ -207,13 +207,6 @@ def _guard_for(pkg: str, original_call: str, mirror: str) -> str:
     )
 
 
-def _package_name(arg: str) -> str | None:
-    quoted = rsource.strip_quotes(arg)
-    if quoted is not None:
-        return quoted if rsource.is_bare_name(quoted) else None
-    return arg.strip() if rsource.is_bare_name(arg) else None
-
-
 def rewrite_library_loads(text: str, mirror: str = DEFAULT_CRAN_MIRROR) -> tuple[str, list[CleanAction]]:
     """Guard library loads with an install-if-missing test against the mirror.
 
@@ -229,24 +222,23 @@ def rewrite_library_loads(text: str, mirror: str = DEFAULT_CRAN_MIRROR) -> tuple
     for lineno, line in enumerate(lines, start=1):
         if rsource.classify_line(line) != rsource.CODE:
             continue
-        code_end = rsource.comment_start(line)
-        code = line if code_end is None else line[:code_end]
-        masked = rsource.mask_strings(code)
+        code = rsource.mask_strings(line).partition("#")[0]
 
-        if not re.search(r"!\s*require\b", masked):
+        if not re.search(r"!\s*require\b", code):
             replacements: list[tuple[int, int, str, str]] = []
-            for offset, segment in rsource.split_statements(code):
-                m = re.match(r"\s*(library|require)\s*\(", segment)
+            for start, end in rsource.split_statements(code):
+                m = _LOAD_CALL_RE.match(line, start, end)
                 if not m:
                     continue
-                call_start = offset + m.start(1)
-                open_idx = offset + m.end() - 1
+                call_start = m.start(1)
+                open_idx = m.end() - 1
                 close = rsource.matching_paren(code, open_idx)
-                if close is None or close >= offset + len(segment):
+                if close is None or close >= end:
                     continue
-                if segment[close + 1 - offset :].strip():
+                if line[close + 1 : end].strip():
                     continue  # call is not the whole statement
-                pkg = _package_name(rsource.first_argument(code, open_idx, close))
+                arg_end = rsource.first_argument_end(code, open_idx + 1, close)
+                pkg = rsource.package_name(line[open_idx + 1 : arg_end])
                 if pkg is None:
                     continue
                 original = line[call_start : close + 1]
@@ -254,15 +246,14 @@ def rewrite_library_loads(text: str, mirror: str = DEFAULT_CRAN_MIRROR) -> tuple
             for start, end, before, after in reversed(replacements):
                 line = line[:start] + after + line[end:]
                 actions.append(CleanAction(LIBRARY_GUARDED, lineno, before, after))
+            if replacements:
+                code = rsource.mask_strings(line).partition("#")[0]
 
-        code_end = rsource.comment_start(line)
-        code = line if code_end is None else line[:code_end]
         for _, name_start, open_idx in reversed(rsource.find_calls(code, ("install.packages",))):
             close = rsource.matching_paren(code, open_idx)
             if close is None:
                 continue
-            arg_slice = rsource.mask_strings(code)[open_idx + 1 : close]
-            if _REPOS_ARG_RE.search(arg_slice):
+            if _REPOS_ARG_RE.search(code, open_idx + 1, close):
                 continue
             before = line[name_start : close + 1]
             injected = f', repos="{mirror}"' if line[open_idx + 1 : close].strip() else f'repos="{mirror}"'

@@ -25,9 +25,10 @@ import subprocess
 import tempfile
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
+from . import rsource
 from .ingest import PackageManifest, package_slug
 
 VERDICT_SUCCESS = "success"
@@ -131,31 +132,11 @@ class ExecutionOutcome:
     exit_code: int | None = None
 
     def to_dict(self) -> dict:
-        return {
-            "package_id": self.package_id,
-            "file": self.file,
-            "interpreter_label": self.interpreter_label,
-            "cleaning_mode": self.cleaning_mode,
-            "verdict": self.verdict,
-            "error_category": self.error_category,
-            "stderr_tail": self.stderr_tail,
-            "wall_time": self.wall_time,
-            "exit_code": self.exit_code,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExecutionOutcome":
-        return cls(
-            package_id=data["package_id"],
-            file=data["file"],
-            interpreter_label=data["interpreter_label"],
-            cleaning_mode=data["cleaning_mode"],
-            verdict=data["verdict"],
-            error_category=data.get("error_category"),
-            stderr_tail=data.get("stderr_tail", ""),
-            wall_time=data.get("wall_time", 0.0),
-            exit_code=data.get("exit_code"),
-        )
+        return cls(**{f.name: data[f.name] for f in fields(cls) if f.name in data})
 
 
 def classify_error(stderr: str) -> str:
@@ -301,7 +282,7 @@ def _populate_workspace(
         root = Path(manifest.root)
         for entry in manifest.files:
             src = root / entry.relative_path
-            if mode == MODE_CLEANED and entry.relative_path.endswith((".R", ".r")):
+            if mode == MODE_CLEANED and rsource.is_r_source(entry.relative_path):
                 src = (cleaned_dir or Path("")) / entry.relative_path
                 if cleaned_dir is None or not src.is_file():
                     raise WorkspaceError(

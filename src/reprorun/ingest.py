@@ -25,6 +25,8 @@ from pathlib import Path
 
 import requests
 
+from . import rsource
+
 API_TOKEN_ENV = "DATAVERSE_API_TOKEN"
 
 VERIFIED_OK = "ok"
@@ -110,7 +112,7 @@ class PackageManifest:
 
     def r_files(self) -> list[FileEntry]:
         return sorted(
-            (e for e in self.files if e.relative_path.endswith((".R", ".r"))),
+            (e for e in self.files if rsource.is_r_source(e.relative_path)),
             key=lambda e: e.relative_path,
         )
 

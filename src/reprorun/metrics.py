@@ -146,17 +146,15 @@ def scan_dependencies(source: str) -> tuple[list[str], int]:
     for line in rsource.split_lines(source):
         if rsource.classify_line(line) != rsource.CODE:
             continue
-        code = rsource.code_portion(line)
+        code = rsource.mask_strings(line).partition("#")[0]
         for _, _, open_idx in rsource.find_calls(code, _DEPENDENCY_CALLS):
             close = rsource.matching_paren(code, open_idx)
             if close is None:
                 skipped += 1
                 continue
-            arg = rsource.first_argument(code, open_idx, close)
-            name = rsource.strip_quotes(arg)
-            if name is None and rsource.is_bare_name(arg):
-                name = arg.strip()
-            if name is None or not rsource.is_bare_name(name):
+            arg_end = rsource.first_argument_end(code, open_idx + 1, close)
+            name = rsource.package_name(line[open_idx + 1 : arg_end])
+            if name is None:
                 skipped += 1
                 continue
             if name not in seen:
@@ -225,7 +223,7 @@ def analyze_r_file(path: Path | str, package_id: str | None = None) -> FileMetri
             metrics.comment_lines += 1
             continue
         metrics.code_lines += 1
-        masked = rsource.mask_strings(rsource.code_portion(line))
+        masked = rsource.mask_strings(line).partition("#")[0]
         metrics.function_count += len(_FUNCTION_DEF_RE.findall(masked))
         metrics.class_count += len(rsource.find_calls(masked, _CLASS_CALLS))
         variables.extend(_ARROW_ASSIGN_RE.findall(masked))

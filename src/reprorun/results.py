@@ -56,15 +56,6 @@ class CombinedResult:
     verdict: str
     error_category: str | None = None
 
-    def to_dict(self) -> dict:
-        return {
-            "package_id": self.package_id,
-            "file": self.file,
-            "cleaning_mode": self.cleaning_mode,
-            "verdict": self.verdict,
-            "error_category": self.error_category,
-        }
-
 
 @dataclass
 class DatasetResult:
@@ -75,15 +66,6 @@ class DatasetResult:
     verdict: str
     file_counts: dict = field(default_factory=dict)
     n_unassigned: int = 0
-
-    def to_dict(self) -> dict:
-        return {
-            "package_id": self.package_id,
-            "cleaning_mode": self.cleaning_mode,
-            "verdict": self.verdict,
-            "file_counts": self.file_counts,
-            "n_unassigned": self.n_unassigned,
-        }
 
 
 @dataclass
@@ -185,6 +167,7 @@ def aggregate_dataset(file_results: list[CombinedResult]) -> DatasetResult:
 
 
 def dataset_results(combined: list[CombinedResult]) -> list[DatasetResult]:
+    """Dataset verdicts per (package, mode); per-version outcomes fold the same way."""
     groups: dict[tuple[str, str], list[CombinedResult]] = {}
     for result in combined:
         groups.setdefault((result.package_id, result.cleaning_mode), []).append(result)
@@ -329,32 +312,6 @@ def _rate_row(group: str, file_rate: SuccessRate, dataset_rate: SuccessRate) -> 
     }
 
 
-def _per_interpreter_rows(outcomes: list[ExecutionOutcome], mode: str) -> list[dict]:
-    labels = sorted({o.interpreter_label for o in outcomes if o.cleaning_mode == mode})
-    rows = []
-    for label in labels:
-        selected = [o for o in outcomes if o.cleaning_mode == mode and o.interpreter_label == label]
-        per_package: dict[str, list[str]] = {}
-        for o in selected:
-            per_package.setdefault(o.package_id, []).append(o.verdict)
-        dataset_verdicts = []
-        for verdicts in per_package.values():
-            folded = combine_outcomes(verdicts)  # same precedence at dataset level
-            if folded == VERDICT_TLE:
-                continue  # excluded, like a TLE-only dataset
-            if folded != VERDICT_UNASSIGNED:
-                dataset_verdicts.append(folded)
-        file_rate = SuccessRate(
-            sum(1 for o in selected if o.verdict == VERDICT_SUCCESS),
-            sum(1 for o in selected if o.verdict in (VERDICT_SUCCESS, VERDICT_ERROR)),
-        )
-        dataset_rate = SuccessRate(
-            sum(1 for v in dataset_verdicts if v == VERDICT_SUCCESS), len(dataset_verdicts)
-        )
-        rows.append(_rate_row(label, file_rate, dataset_rate))
-    return rows
-
-
 def group_report(store, metadata_key: str, mode: str = MODE_CLEANED) -> list[dict]:
     """One row per group value: file and dataset success rates plus their n.
 
@@ -365,23 +322,21 @@ def group_report(store, metadata_key: str, mode: str = MODE_CLEANED) -> list[dic
     ``(unlabeled)``.
     """
     outcomes = store.outcomes()
+    by_group: dict[str, list] = {}
     if metadata_key == "interpreter_label":
-        return _per_interpreter_rows(outcomes, mode)
-
-    packages = store.packages()
-    combined = combined_results(outcomes, mode)
-    by_group: dict[str, list[CombinedResult]] = {}
-    for result in combined:
-        group = group_value(packages.get(result.package_id), metadata_key)
-        by_group.setdefault(group, []).append(result)
+        for outcome in outcomes:
+            if outcome.cleaning_mode == mode:
+                by_group.setdefault(outcome.interpreter_label, []).append(outcome)
+    else:
+        packages = store.packages()
+        for result in combined_results(outcomes, mode):
+            group = group_value(packages.get(result.package_id), metadata_key)
+            by_group.setdefault(group, []).append(result)
 
     rows = []
     for group in sorted(by_group):
         results = by_group[group]
-        file_rate = success_rate(results, level="file")
-        datasets = dataset_results(results)
-        dataset_rate = success_rate(datasets, level="dataset")
-        rows.append(_rate_row(group, file_rate, dataset_rate))
+        rows.append(_rate_row(group, success_rate(results), success_rate(dataset_results(results))))
     return rows
 
 

@@ -1,13 +1,24 @@
 """Minimal line-oriented scanner for R source text.
 
-Shared by the metrics and cleaner modules. Deliberately not a full R
-grammar: it tracks single- and double-quoted string literals with
-backslash escapes on a single physical line, which is enough to keep
-rewrites and line classification out of strings and comments. Backticked
-identifiers and R >= 4.0 raw strings are not tracked.
+Shared by the metrics, cleaner and stub modules. Deliberately not a full
+R grammar: one compiled regex finds single- and double-quoted string
+literals with backslash escapes on a single physical line, and nothing
+else in the package knows about R quoting.
+
+Callers scan each line once, with ``mask_strings``, and hand the masked
+line to every other helper. The masked line has each string literal,
+quotes included, blanked to spaces and keeps every index, so any ``(``,
+``)``, ``#``, ``,`` or ``;`` left in it is code: its first ``#`` starts
+the comment, and the helpers return indices that callers use to slice
+the original line. Limits: a literal never continues onto the next
+line, an unterminated literal runs to the end of its line, and
+backticked names and R >= 4.0 raw strings (``r"(...)"``) are not
+tracked, so a quote or ``#`` inside one misreads the rest of the line.
 """
 
 from __future__ import annotations
+
+import re
 
 CODE = "code"
 COMMENT = "comment"
@@ -24,6 +35,14 @@ def is_r_source(name: str) -> bool:
 _IDENT_CHARS = frozenset(
     "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789._"
 )
+
+# A quote, then escaped or other characters up to the same quote; an
+# unterminated literal (or one ending in a lone backslash) runs to the end.
+_STRING_RE = re.compile(
+    r""""[^"\\]*(?:\\.[^"\\]*)*(?:"|\\)?|'[^'\\]*(?:\\.[^'\\]*)*(?:'|\\)?""", re.DOTALL
+)
+_PAREN_RE = re.compile(r"[()]")
+_NESTING_RE = re.compile(r"[()\[\]{};,]")
 
 
 def decode_best_effort(raw: bytes) -> str:
@@ -49,45 +68,12 @@ def string_spans(line: str) -> list[tuple[int, int]]:
 
     An unterminated literal extends to the end of the line.
     """
-    spans: list[tuple[int, int]] = []
-    i = 0
-    n = len(line)
-    while i < n:
-        ch = line[i]
-        if ch in "'\"":
-            start = i
-            i += 1
-            while i < n:
-                if line[i] == "\\":
-                    i += 2
-                    continue
-                if line[i] == ch:
-                    i += 1
-                    break
-                i += 1
-            spans.append((start, min(i, n)))
-        else:
-            i += 1
-    return spans
+    return [m.span() for m in _STRING_RE.finditer(line)]
 
 
-def in_spans(idx: int, spans: list[tuple[int, int]]) -> bool:
-    return any(start <= idx < end for start, end in spans)
-
-
-def comment_start(line: str) -> int | None:
-    """Index of the first '#' outside string literals, or None."""
-    spans = string_spans(line)
-    for i, ch in enumerate(line):
-        if ch == "#" and not in_spans(i, spans):
-            return i
-    return None
-
-
-def code_portion(line: str) -> str:
-    """The line up to (excluding) its inline comment."""
-    idx = comment_start(line)
-    return line if idx is None else line[:idx]
+def mask_strings(line: str) -> str:
+    """Replace string literal contents (and quotes) with spaces, preserving indices."""
+    return _STRING_RE.sub(lambda m: " " * (m.end() - m.start()), line)
 
 
 def classify_line(line: str) -> str:
@@ -105,27 +91,13 @@ def classify_line(line: str) -> str:
     return CODE
 
 
-def is_comment_line(line: str) -> bool:
-    return classify_line(line) == COMMENT
-
-
-def mask_strings(line: str) -> str:
-    """Replace string literal contents (and quotes) with spaces, preserving indices."""
-    chars = list(line)
-    for start, end in string_spans(line):
-        for i in range(start, end):
-            chars[i] = " "
-    return "".join(chars)
-
-
-def find_calls(line: str, names: tuple[str, ...] | list[str]) -> list[tuple[str, int, int]]:
-    """Occurrences of ``name(`` outside strings, as (name, name_start, open_paren_idx).
+def find_calls(masked: str, names: tuple[str, ...] | list[str]) -> list[tuple[str, int, int]]:
+    """Occurrences of ``name(`` in a masked line, as (name, name_start, open_paren_idx).
 
     A match requires a word boundary before the name (the preceding
     character is not part of an R identifier) and an opening parenthesis
     as the next non-space character.
     """
-    masked = mask_strings(line)
     hits: list[tuple[str, int, int]] = []
     for name in names:
         start = 0
@@ -145,77 +117,58 @@ def find_calls(line: str, names: tuple[str, ...] | list[str]) -> list[tuple[str,
     return hits
 
 
-def matching_paren(line: str, open_idx: int) -> int | None:
+def matching_paren(masked: str, open_idx: int) -> int | None:
     """Index of the ')' matching the '(' at open_idx, or None if not closed on this line."""
-    spans = string_spans(line)
     depth = 0
-    for i in range(open_idx, len(line)):
-        if in_spans(i, spans):
-            continue
-        ch = line[i]
-        if ch == "(":
+    for m in _PAREN_RE.finditer(masked, open_idx):
+        if m.group() == "(":
             depth += 1
-        elif ch == ")":
+        else:
             depth -= 1
             if depth == 0:
-                return i
+                return m.start()
     return None
 
 
-def first_argument(line: str, open_idx: int, close_idx: int) -> str:
-    """Text of the first argument of the call whose parens are at open/close idx."""
-    spans = string_spans(line)
+def first_argument_end(masked: str, start: int, end: int) -> int:
+    """Index of the first ',' outside brackets in masked[start:end], else end.
+
+    Called with the span between a call's parentheses, it ends the call's
+    first argument.
+    """
     depth = 0
-    for i in range(open_idx, close_idx):
-        if in_spans(i, spans):
-            continue
-        ch = line[i]
+    for m in _NESTING_RE.finditer(masked, start, end):
+        ch = m.group()
         if ch in "([{":
             depth += 1
         elif ch in ")]}":
             depth -= 1
-        elif ch == "," and depth == 1:
-            return line[open_idx + 1 : i].strip()
-    return line[open_idx + 1 : close_idx].strip()
+        elif ch == "," and depth == 0:
+            return m.start()
+    return end
 
 
-def paren_depth_before(line: str, idx: int) -> int:
-    """Parenthesis nesting depth just before index idx, ignoring parens in strings."""
-    spans = string_spans(line)
-    depth = 0
-    for i in range(idx):
-        if in_spans(i, spans):
-            continue
-        if line[i] == "(":
-            depth += 1
-        elif line[i] == ")":
-            depth -= 1
-    return depth
+def split_statements(masked: str) -> list[tuple[int, int]]:
+    """Split a masked code portion at top-level ';' into [start, end) spans.
 
-
-def split_statements(code: str) -> list[tuple[int, str]]:
-    """Split a line's code portion at top-level ';' into (offset, segment) pairs.
-
-    Top-level means outside string literals and outside any parentheses,
-    so the ';' in a generated one-line guard separates statements while a
-    ';' inside a call argument does not.
+    Top-level means outside any brackets, so the ';' in a generated
+    one-line guard separates statements while a ';' inside a call
+    argument does not.
     """
-    spans = string_spans(code)
-    segments: list[tuple[int, str]] = []
+    spans: list[tuple[int, int]] = []
     depth = 0
     seg_start = 0
-    for i, ch in enumerate(code):
-        if in_spans(i, spans):
-            continue
+    for m in _NESTING_RE.finditer(masked):
+        ch = m.group()
         if ch in "([{":
             depth += 1
         elif ch in ")]}":
             depth -= 1
         elif ch == ";" and depth <= 0:
-            segments.append((seg_start, code[seg_start:i]))
-            seg_start = i + 1
-    segments.append((seg_start, code[seg_start:]))
-    return segments
+            spans.append((seg_start, m.start()))
+            seg_start = m.end()
+    spans.append((seg_start, len(masked)))
+    return spans
 
 
 def strip_quotes(token: str) -> str | None:
@@ -234,3 +187,11 @@ def is_bare_name(token: str) -> bool:
     if not token or token[0] not in _IDENT_CHARS or token[0].isdigit():
         return False
     return all(ch in _IDENT_CHARS for ch in token)
+
+
+def package_name(arg: str) -> str | None:
+    """The package a ``library``-style first argument names, quoted or bare, else None."""
+    quoted = strip_quotes(arg)
+    if quoted is not None:
+        return quoted if is_bare_name(quoted) else None
+    return arg.strip() if is_bare_name(arg) else None

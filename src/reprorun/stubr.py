@@ -69,22 +69,6 @@ def _env_set(name: str) -> set[str]:
     return {part.strip() for part in raw.split(",") if part.strip()}
 
 
-def _first_arg(args: str) -> str:
-    """Text of the first call argument (top-level comma split, string aware)."""
-    spans = rsource.string_spans(args)
-    depth = 0
-    for i, ch in enumerate(args):
-        if rsource.in_spans(i, spans):
-            continue
-        if ch in "([{":
-            depth += 1
-        elif ch in ")]}":
-            depth -= 1
-        elif ch == "," and depth == 0:
-            return args[:i]
-    return args
-
-
 class StubSession:
     def __init__(self):
         self.installed = _env_set("STUBR_PREINSTALLED")
@@ -138,15 +122,19 @@ class StubSession:
         with open(LIBRARY_STATE_FILE, "a", encoding="utf-8") as fh:
             fh.write(pkg + "\n")
 
-    def execute(self, stmt: str) -> None:
+    def execute(self, stmt: str, masked: str) -> None:
+        """Run one statement; ``masked`` is its string-masked twin, same indices."""
+        lead = len(stmt) - len(stmt.lstrip())
         stmt = stmt.strip()
+        masked = masked[lead : lead + len(stmt)]
         if not stmt:
             return
 
         m = _GUARD_RE.match(stmt)
         if m:
             if not self.do_require(m.group(1), fatal=False):
-                self.execute(m.group(2))
+                # the pattern may have matched across a quote, so mask the consequent anew
+                self.execute(m.group(2), rsource.mask_strings(m.group(2)))
             return
 
         m = _SETWD_RE.match(stmt)
@@ -183,8 +171,9 @@ class StubSession:
 
         m = _READ_RE.match(stmt)
         if m:
-            target, args = m.group(1), m.group(2)
-            path = self.eval_path_arg(_first_arg(args))
+            target = m.group(1)
+            arg_end = rsource.first_argument_end(masked, m.start(2), m.end(2))
+            path = self.eval_path_arg(stmt[m.start(2) : arg_end])
             if path is None:
                 return  # non-literal argument, treat as a no-op
             if not os.path.isfile(path):
@@ -232,9 +221,9 @@ class StubSession:
             for line in rsource.split_lines(text):
                 if rsource.classify_line(line) != rsource.CODE:
                     continue
-                code = rsource.code_portion(line)
-                for _, segment in rsource.split_statements(code):
-                    self.execute(segment)
+                code = rsource.mask_strings(line).partition("#")[0]
+                for start, end in rsource.split_statements(code):
+                    self.execute(line[start:end], code[start:end])
         except Halt as halt:
             return halt.status
         return 0

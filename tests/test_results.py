@@ -306,11 +306,19 @@ def test_group_by_interpreter_uses_per_version_outcomes(tmp_path: Path):
         outcome("p1", "b.R", "R1", "error", category="other"),
         outcome("p1", "b.R", "R2", "error", category="other"),
     ]
-    store = _store_with(tmp_path, outcomes, {"p1": {}})
+    timed_out_once = [
+        outcome("p2", "c.R", "R1", "tle"),
+        outcome("p2", "c.R", "R2", "error", category="other"),
+    ]
+    store = _store_with(tmp_path, outcomes + timed_out_once, {"p1": {}, "p2": {}})
     rows = group_report(store, "interpreter_label")
     assert [row["group"] for row in rows] == ["R1", "R2"]
-    assert rows[0]["file_success_rate"] == 0.5  # R1: 1 of 2
-    assert rows[1]["file_success_rate"] == 0.0  # R2: 0 of 2
+    assert rows[0]["file_success_rate"] == 0.5  # R1: 1 of 2, the TLE is not counted
+    assert rows[1]["file_success_rate"] == 0.0  # R2: 0 of 3
+    assert [row["n_files"] for row in rows] == [2, 3]
+    # per-version datasets: p2 timed out only under R1, so R1 excludes it
+    assert (rows[0]["dataset_success_rate"], rows[0]["n_datasets"]) == (1.0, 1)
+    assert (rows[1]["dataset_success_rate"], rows[1]["n_datasets"]) == (0.0, 2)
     # combined verdicts would have hidden the per-version difference
     assert [r.verdict for r in combined_results(outcomes, "cleaned")] == ["success", "error"]
 

@@ -36,6 +36,19 @@ def test_round_trip_100_records(tmp_path: Path):
     assert [o.to_dict() for o in loaded.outcomes()] == [outcome(i).to_dict() for i in range(100)]
 
 
+def test_outcome_record_without_optional_keys_loads_defaults(tmp_path: Path):
+    path = tmp_path / "s.jsonl"
+    store = RunStore.open(path)
+    store.append(
+        {"kind": "outcome", "package_id": "p", "file": "a.R", "interpreter_label": "R1",
+         "cleaning_mode": "raw", "verdict": "success"}
+    )
+    store.close()
+    (loaded,) = RunStore.load(path).outcomes()
+    assert loaded == ExecutionOutcome("p", "a.R", "R1", "raw", "success")
+    assert (loaded.stderr_tail, loaded.wall_time, loaded.exit_code, loaded.error_category) == ("", 0.0, None, None)
+
+
 def test_torn_final_record_dropped_with_warning(tmp_path: Path, caplog):
     path = tmp_path / "s.jsonl"
     store = RunStore.open(path)
