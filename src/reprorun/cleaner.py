@@ -79,10 +79,10 @@ def normalize_encoding(raw: bytes) -> tuple[str, bool]:
     every resulting non-ASCII character becomes ``?``. Total function:
     any byte sequence yields a result.
     """
-    was_ascii = all(b < 128 for b in raw)
+    was_ascii = raw.isascii()
     text = _decode(raw)
     if not was_ascii:
-        text = "".join(ch if ord(ch) < 128 else "?" for ch in text)
+        text = text.encode("ascii", "replace").decode("ascii")
     return text, was_ascii
 
 

@@ -334,10 +334,11 @@ def cmd_run(args) -> int:
 def cmd_report(args) -> int:
     try:
         store = RunStore.load(args.store)
+        has_outcomes = bool(store.outcomes())
     except StoreError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_EMPTY_STORE
-    if not store.outcomes():
+    if not has_outcomes:
         print("error: store has no outcomes", file=sys.stderr)
         return EXIT_EMPTY_STORE
     out = Path(args.out)

@@ -25,7 +25,7 @@ import subprocess
 import tempfile
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import MISSING, asdict, dataclass, field, fields
 from pathlib import Path
 
 from . import rsource
@@ -136,7 +136,8 @@ class ExecutionOutcome:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExecutionOutcome":
-        return cls(**{f.name: data[f.name] for f in fields(cls) if f.name in data})
+        """Build from a record; a missing key without a default raises KeyError."""
+        return cls(**{f.name: data[f.name] for f in fields(cls) if f.name in data or f.default is MISSING})
 
 
 def classify_error(stderr: str) -> str:

@@ -9,6 +9,11 @@ repository via :func:`load_local_package`.
 Files are stored flat per package (the cleaner's basename rewrite relies
 on every file sitting in one directory); name collisions are resolved by
 suffixing ``_1``, ``_2`` and recording the original label on the entry.
+
+:func:`fetch_many` gives each worker thread one client, so each worker
+fetches all of its packages over one keep-alive connection. A client
+reads the environment (proxies, CA bundle, netrc) once, for its API
+host, instead of on every request.
 """
 
 from __future__ import annotations
@@ -17,6 +22,7 @@ import hashlib
 import json
 import os
 import re
+import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -177,7 +183,15 @@ def _utc_now() -> str:
 
 
 class DataverseClient:
-    """Thin HTTP client for a Dataverse-compatible repository."""
+    """Thin HTTP client for a Dataverse-compatible repository.
+
+    The proxies, CA bundle and netrc credentials that requests would pick
+    from the environment for ``api_base`` are read once, here, and kept on
+    the session, which then stops consulting the environment per request.
+    Requests to the API host behave as with per-request lookup; a redirect
+    to another host keeps the API host's proxy choice and gets no netrc
+    lookup for that host.
+    """
 
     def __init__(
         self,
@@ -193,6 +207,14 @@ class DataverseClient:
         self.backoff = backoff
         self.timeout = timeout
         self.session = requests.Session()
+        settings = self.session.merge_environment_settings(self.api_base, {}, None, None, None)
+        self.session.proxies = settings["proxies"]
+        self.session.verify = settings["verify"]
+        self.session.auth = requests.utils.get_netrc_auth(self.api_base)
+        self.session.trust_env = False
+
+    def close(self) -> None:
+        self.session.close()
 
     def _headers(self) -> dict:
         return {"X-Dataverse-key": self.token} if self.token else {}
@@ -209,15 +231,16 @@ class DataverseClient:
                 last = exc
                 time.sleep(self.backoff * (attempt + 1))
                 continue
+            if resp.status_code < 400:
+                return resp
+            resp.close()  # an unread streamed body would keep its connection out of the pool
             if resp.status_code in (401, 403):
                 raise AuthorizationError(f"access denied for {url} (HTTP {resp.status_code})")
             if 500 <= resp.status_code < 600:
                 last = NetworkError(f"HTTP {resp.status_code} from {url}")
                 time.sleep(self.backoff * (attempt + 1))
                 continue
-            if resp.status_code >= 400:
-                raise IngestError(f"HTTP {resp.status_code} from {url}")
-            return resp
+            raise IngestError(f"HTTP {resp.status_code} from {url}")
         raise NetworkError(f"giving up on {url} after {self.retries} attempts: {last}")
 
     def _get_json(self, path: str, params: dict | None = None) -> dict:
@@ -285,22 +308,27 @@ def list_packages(
     """
     if limit <= 0:
         return []
+    own_client = client is None
     client = client or DataverseClient(api_base)
     refs: list[PackageRef] = []
     start = 0
     per_page = min(50, limit)
-    while len(refs) < limit:
-        data = client.search(query, start=start, per_page=per_page)
-        items = data["items"]
-        for item in items:
-            ref = _ref_from_search_item(item)
-            if ref is not None:
-                refs.append(ref)
-                if len(refs) >= limit:
-                    break
-        start += len(items)
-        if not items or start >= data["total_count"]:
-            break
+    try:
+        while len(refs) < limit:
+            data = client.search(query, start=start, per_page=per_page)
+            items = data["items"]
+            for item in items:
+                ref = _ref_from_search_item(item)
+                if ref is not None:
+                    refs.append(ref)
+                    if len(refs) >= limit:
+                        break
+            start += len(items)
+            if not items or start >= data["total_count"]:
+                break
+    finally:
+        if own_client:
+            client.close()
     return refs
 
 
@@ -387,11 +415,29 @@ def fetch_many(
     make_client,
     jobs: int = 4,
 ) -> list[PackageManifest]:
-    """Fetch packages concurrently; one worker produces each manifest."""
+    """Fetch packages concurrently; one worker produces each manifest.
+
+    Each worker thread calls ``make_client`` once and reuses that client,
+    and so its keep-alive connection, for every package it fetches. All
+    clients are closed on return.
+    """
     if not refs:
         return []
-    with ThreadPoolExecutor(max_workers=max(1, jobs)) as pool:
-        return list(pool.map(lambda ref: fetch_package(ref, dest, make_client()), refs))
+    local = threading.local()
+    clients: list[DataverseClient] = []
+
+    def fetch(ref: PackageRef) -> PackageManifest:
+        if not hasattr(local, "client"):
+            local.client = make_client()
+            clients.append(local.client)
+        return fetch_package(ref, dest, local.client)
+
+    try:
+        with ThreadPoolExecutor(max_workers=max(1, jobs)) as pool:
+            return list(pool.map(fetch, refs))
+    finally:
+        for client in clients:
+            client.close()
 
 
 _ALGORITHMS = {"md5": "md5", "sha-1": "sha1", "sha1": "sha1", "sha-256": "sha256", "sha256": "sha256", "sha-512": "sha512", "sha512": "sha512"}

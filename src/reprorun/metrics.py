@@ -126,7 +126,7 @@ def detect_encoding(data: bytes) -> str:
         return "utf-8"
     except UnicodeDecodeError:
         pass
-    if any(0x80 <= b <= 0x9F for b in data):
+    if re.search(rb"[\x80-\x9f]", data):
         return "windows-1252"
     return "iso-8859-1"
 
@@ -209,7 +209,7 @@ def analyze_r_file(path: Path | str, package_id: str | None = None) -> FileMetri
     path = Path(path)
     raw = path.read_bytes()
     metrics = FileMetrics(path=str(path), package_id=package_id)
-    metrics.is_ascii = all(b < 128 for b in raw)
+    metrics.is_ascii = raw.isascii()
     metrics.detected_encoding = detect_encoding(raw)
     text = rsource.decode_best_effort(raw)
 

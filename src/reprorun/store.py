@@ -4,7 +4,9 @@ One record per line. The raw log is the source of truth: every derived
 table (combined verdicts, dataset aggregates, grouped reports) is
 recomputed from it deterministically. Appends are atomic per record and
 tolerate concurrent producers; a torn final line (crash mid-write) is
-reported and skipped on load instead of poisoning the run.
+reported and skipped on load instead of poisoning the run. Outcome
+records are parsed into ``ExecutionOutcome`` objects on the first
+``outcomes()`` call, not on load, and kept for later calls.
 """
 
 from __future__ import annotations
@@ -45,6 +47,7 @@ class RunStore:
         self.config: dict = {}
         self._lock = threading.Lock()
         self._fh = None
+        self._outcomes: list[ExecutionOutcome] | None = None  # parsed on first use
 
     # --- lifecycle -----------------------------------------------------------
 
@@ -84,6 +87,8 @@ class RunStore:
                     log.warning("store %s: dropping torn final record", self.path)
                     break
                 raise StoreError(f"corrupt record at line {i + 1} of {self.path}") from None
+            if not isinstance(record, dict):
+                raise StoreError(f"record at line {i + 1} of {self.path} is not a JSON object")
             self.records.append(record)
         for record in self.records:
             if record.get("kind") == KIND_CONFIG:
@@ -102,6 +107,8 @@ class RunStore:
             self._fh.write(line)
             self._fh.flush()
             self.records.append(record)
+            if record.get("kind") == KIND_OUTCOME:
+                self._outcomes = None
 
     def append_outcome(self, outcome: ExecutionOutcome) -> None:
         self.append({"kind": KIND_OUTCOME, **outcome.to_dict()})
@@ -133,10 +140,30 @@ class RunStore:
     # --- views ---------------------------------------------------------------
 
     def outcomes(self, mode: str | None = None) -> list[ExecutionOutcome]:
-        out = [ExecutionOutcome.from_dict(r) for r in self.records if r.get("kind") == KIND_OUTCOME]
+        """Outcome records as objects, in log order; a new list on every call.
+
+        Raises StoreError naming the line of an outcome record that lacks
+        a required key.
+        """
+        with self._lock:
+            if self._outcomes is None:
+                self._outcomes = [
+                    self._parse_outcome(i, r)
+                    for i, r in enumerate(self.records)
+                    if r.get("kind") == KIND_OUTCOME
+                ]
+            out = list(self._outcomes)
         if mode is not None:
             out = [o for o in out if o.cleaning_mode == mode]
         return out
+
+    def _parse_outcome(self, index: int, record: dict) -> ExecutionOutcome:
+        try:
+            return ExecutionOutcome.from_dict(record)
+        except KeyError as exc:
+            raise StoreError(
+                f"outcome record at line {index + 1} of {self.path} lacks key {exc.args[0]!r}"
+            ) from None
 
     def packages(self) -> dict[str, dict]:
         return {r["package_id"]: r for r in self.records if r.get("kind") == KIND_PACKAGE}

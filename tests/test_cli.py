@@ -181,6 +181,15 @@ def test_report_empty_store_exit_6(tmp_path: Path):
     assert main(["report", "--store", str(tmp_path / "empty.jsonl"), "--out", str(tmp_path / "o")]) == 6
 
 
+def test_report_malformed_outcome_record_exit_6(tmp_path: Path, capsys):
+    store_path = tmp_path / "s.jsonl"
+    store_path.write_text('{"kind": "outcome", "package_id": "p", "file": "a.R"}\n', encoding="utf-8")
+    assert main(["report", "--store", str(store_path), "--out", str(tmp_path / "o")]) == 6
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "line 1" in err and "interpreter_label" in err
+    assert "Traceback" not in err
+
+
 def test_report_metadata_overlay_for_policy(cli_corpus: Path, tmp_path: Path):
     store_path = tmp_path / "store.jsonl"
     assert main([

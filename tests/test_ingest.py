@@ -223,6 +223,61 @@ def test_fetch_many_concurrent_produces_all_manifests(server, tmp_path: Path):
     assert all(m.fetch_status == "ok" for m in manifests)
 
 
+def test_fetch_many_reuses_one_client_per_worker(server, tmp_path: Path):
+    refs = list_packages(server.base_url, "fileName:*.R", limit=8)
+    made: list[DataverseClient] = []
+    closed: list[DataverseClient] = []
+
+    class CountingClient(DataverseClient):
+        def close(self) -> None:
+            closed.append(self)
+            super().close()
+
+    def make_client() -> DataverseClient:
+        made.append(CountingClient(server.base_url))
+        return made[-1]
+
+    manifests = fetch_many(refs, tmp_path / "many", make_client, jobs=3)
+    assert 1 <= len(made) <= 3
+    assert sorted(map(id, closed)) == sorted(map(id, made))
+
+    def comparable(manifest) -> dict:
+        data = manifest.to_dict()
+        del data["root"], data["fetched_at"]
+        return data
+
+    # one fresh client per package, as fetch_many used to do
+    expected = [fetch_package(ref, tmp_path / "one", DataverseClient(server.base_url)) for ref in refs]
+    assert [comparable(m) for m in manifests] == [comparable(m) for m in expected]
+    for got, want in zip(manifests, expected):
+        for entry in got.files:
+            assert (Path(got.root) / entry.relative_path).read_bytes() == (
+                Path(want.root) / entry.relative_path
+            ).read_bytes()
+
+
+@pytest.fixture
+def proxy_env(monkeypatch):
+    for name in ("http_proxy", "HTTP_PROXY", "all_proxy", "ALL_PROXY", "no_proxy", "NO_PROXY"):
+        monkeypatch.delenv(name, raising=False)
+    monkeypatch.setenv("HTTP_PROXY", "http://127.0.0.1:9")  # nothing listens on the discard port
+    return monkeypatch
+
+
+def test_api_host_honours_environment_proxy(server, proxy_env):
+    from reprorun.ingest import NetworkError
+
+    client = DataverseClient(server.base_url, retries=1, backoff=0.0, timeout=2.0)
+    with pytest.raises(NetworkError):
+        list_packages(server.base_url, "*", limit=3, client=client)
+
+
+def test_api_host_honours_environment_no_proxy(server, proxy_env):
+    proxy_env.setenv("NO_PROXY", "127.0.0.1")
+    client = DataverseClient(server.base_url, retries=1, backoff=0.0, timeout=2.0)
+    assert len(list_packages(server.base_url, "*", limit=3, client=client)) == 3
+
+
 def test_corrupt_byte_yields_checksum_mismatch(tmp_path: Path):
     datasets = [
         MockDataset(

@@ -7,6 +7,7 @@ from pathlib import Path
 from hypothesis import given
 from hypothesis import strategies as st
 
+from reprorun.cleaner import normalize_encoding
 from reprorun.metrics import (
     analyze_package,
     analyze_r_file,
@@ -92,6 +93,31 @@ def test_undecodable_bytes_best_effort(tmp_path: Path):
     assert fm.detected_encoding == "iso-8859-1"
     assert (fm.code_lines, fm.comment_lines) == (1, 1)
     assert fm.variable_names == ["x"]
+
+
+def oracle_detect_encoding(data: bytes) -> str:
+    """The former detect_encoding, whose C1 check looped over every byte."""
+    if b"\x00" in data:
+        return "binary"
+    for codec, label in (("ascii", "ascii"), ("utf-8", "utf-8")):
+        try:
+            data.decode(codec)
+            return label
+        except UnicodeDecodeError:
+            pass
+    if any(0x80 <= b <= 0x9F for b in data):
+        return "windows-1252"
+    return "iso-8859-1"
+
+
+@given(st.one_of(st.binary(max_size=300), st.text(max_size=100).map(lambda t: t.encode("utf-8"))))
+def test_byte_builtins_match_per_byte_loops(raw):
+    assert raw.isascii() == all(b < 128 for b in raw)  # FileMetrics.is_ascii
+    assert detect_encoding(raw) == oracle_detect_encoding(raw)
+    text, was_ascii = normalize_encoding(raw)
+    assert was_ascii == all(b < 128 for b in raw)
+    decoded = rsource.decode_best_effort(raw)
+    assert text == "".join(ch if ord(ch) < 128 else "?" for ch in decoded)
 
 
 def test_detect_encoding_ladder():

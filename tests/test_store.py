@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import sys
 import threading
 from pathlib import Path
 
@@ -119,3 +120,63 @@ def test_outcomes_filter_by_mode(tmp_path: Path):
     assert len(store.outcomes("raw")) == 1
     assert len(store.outcomes("cleaned")) == 1
     assert len(store.outcomes()) == 2
+
+
+def test_outcomes_include_records_appended_after_first_call(tmp_path: Path):
+    store = RunStore.open(tmp_path / "s.jsonl")
+    store.append_outcome(outcome(1))
+    assert [o.file for o in store.outcomes()] == ["f1.R"]
+    store.append_outcome(outcome(2))
+    first, second = store.outcomes(), store.outcomes()
+    assert first == second == [outcome(1), outcome(2)]
+    assert first is not second
+    store.close()
+    assert RunStore.load(tmp_path / "s.jsonl").outcomes() == first
+
+
+def test_outcomes_cache_survives_concurrent_appends(tmp_path: Path):
+    store = RunStore.open(tmp_path / "s.jsonl")
+    stop = threading.Event()
+
+    def produce(offset: int):
+        for i in range(100):
+            store.append_outcome(outcome(offset + i))
+
+    def read():
+        while not stop.is_set():
+            store.outcomes()
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        readers = [threading.Thread(target=read) for _ in range(2)]
+        producers = [threading.Thread(target=produce, args=(k * 1000,)) for k in range(4)]
+        for t in readers + producers:
+            t.start()
+        for t in producers:
+            t.join(timeout=60)
+        stop.set()
+        for t in readers:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in readers + producers)
+    assert len(store.outcomes()) == 400
+    store.close()
+    assert store.outcomes() == RunStore.load(tmp_path / "s.jsonl").outcomes()
+
+
+def test_outcome_record_missing_required_key_is_store_error(tmp_path: Path):
+    path = tmp_path / "s.jsonl"
+    path.write_text('{"kind": "outcome", "package_id": "p", "file": "a.R"}\n', encoding="utf-8")
+    store = RunStore.load(path)  # loading does not parse outcomes
+    assert len(store.records) == 1
+    with pytest.raises(StoreError, match=r"line 1 .*'interpreter_label'"):
+        store.outcomes()
+
+
+def test_record_that_is_not_an_object_is_store_error(tmp_path: Path):
+    path = tmp_path / "s.jsonl"
+    path.write_text('{"kind": "config", "run_id": "r", "config": {}}\n[1, 2]\n', encoding="utf-8")
+    with pytest.raises(StoreError, match="line 2"):
+        RunStore.load(path)
