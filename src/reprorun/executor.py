@@ -1,9 +1,11 @@
 """Run R files under configured interpreters inside scratch workspaces.
 
-Each (interpreter x cleaning mode) run of a package gets a fresh copy of
-the package directory; files execute sequentially in lexicographic
-filename order against a per-file wall-clock budget and a cumulative
-per-package budget. Each child runs in its own process group. Its exit
+The unit of work is one package under one cleaning mode: ``run_matrix``
+schedules units over a thread pool, and the store marks each finished
+unit with one event, which is what a resumed run skips. Inside a unit,
+each interpreter gets a fresh copy of the package directory; files
+execute sequentially in lexicographic filename order against a per-file
+wall-clock budget and a cumulative per-package budget. Each child runs in its own process group. Its exit
 is awaited on a pidfd (Linux), so it is seen as soon as it happens; where
 ``os.pidfd_open`` is missing or fails, ``Popen.wait`` polls instead. When
 the child exits or its budget runs out, its whole process group is
@@ -16,7 +18,6 @@ so the suite runs on machines without R.
 from __future__ import annotations
 
 import os
-import queue
 import re
 import select
 import shutil
@@ -24,12 +25,12 @@ import signal
 import subprocess
 import tempfile
 import time
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import MISSING, asdict, dataclass, field, fields
+from concurrent.futures import ThreadPoolExecutor, as_completed
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 from . import rsource
-from .ingest import PackageManifest, package_slug
+from .ingest import PackageManifest, from_fields, package_slug
 
 VERDICT_SUCCESS = "success"
 VERDICT_ERROR = "error"
@@ -137,7 +138,7 @@ class ExecutionOutcome:
     @classmethod
     def from_dict(cls, data: dict) -> "ExecutionOutcome":
         """Build from a record; a missing key without a default raises KeyError."""
-        return cls(**{f.name: data[f.name] for f in fields(cls) if f.name in data or f.default is MISSING})
+        return from_fields(cls, data)
 
 
 def classify_error(stderr: str) -> str:
@@ -361,9 +362,6 @@ def execute_package(
     return outcomes
 
 
-_JOB_DONE = object()  # run_matrix: queued once per finished package job
-
-
 def run_matrix(
     manifests: list[PackageManifest],
     interpreters: list[InterpreterSpec],
@@ -377,65 +375,65 @@ def run_matrix(
     network_allowed: bool = True,
     keep_workspaces: bool = False,
 ):
-    """Execute packages over a bounded worker pool, streaming outcomes.
+    """Execute (package, mode) units over a bounded worker pool, yielding outcomes.
 
-    Outcomes are appended to the store as they complete and also yielded
-    to the caller. (package, mode) pairs already marked completed in the
-    store are skipped, which makes interrupted runs resumable. A crash
-    inside one package's job is recorded as an infrastructure failure for
-    that package only.
+    A unit is one package under one cleaning mode. Missing package
+    records are appended first. Units already marked completed in the
+    store are skipped, which makes interrupted runs resumable; the rest
+    are submitted mode-major (every package's first mode before any
+    package's second), so concurrent workers start on different packages.
+    Each unit ends with one event: completed, workspace_failure, or
+    infrastructure_failure (a crash inside that unit only).
+
+    The store is written per file, as each outcome arrives, but the
+    generator yields per unit: all of a unit's outcomes once it ends, in
+    order of unit completion. An InterpreterConfigError propagates when
+    its unit ends. Closing the generator early (as an interrupt in
+    ``reprorun run`` does) cancels the units that have not started and
+    waits for the running ones.
     """
     validate_interpreters(interpreters)
     scratch_root = Path(scratch_root)
-    modes = list(modes)
     completed = store.completed_runs()
     known_packages = store.package_ids()
-    out_queue: queue.Queue = queue.Queue()
-
-    def job(manifest: PackageManifest) -> None:
-        pid = manifest.ref.persistent_id
-        if pid not in known_packages:
+    for manifest in manifests:
+        if manifest.ref.persistent_id not in known_packages:
             store.append_package(manifest)
-        for mode in modes:
-            if (pid, mode) in completed:
-                continue
-            cleaned_dir = (
-                Path(cleaned_root) / package_slug(pid) if cleaned_root is not None else None
+    units = [
+        (m, mode) for mode in modes for m in manifests if (m.ref.persistent_id, mode) not in completed
+    ]
+
+    def run_unit(manifest: PackageManifest, mode: str) -> list[ExecutionOutcome]:
+        pid = manifest.ref.persistent_id
+        cleaned_dir = None
+        if mode == MODE_CLEANED and cleaned_root is not None:
+            cleaned_dir = Path(cleaned_root) / package_slug(pid)
+        outcomes: list[ExecutionOutcome] = []
+        try:
+            execute_package(
+                manifest,
+                interpreters,
+                budget,
+                mode,
+                scratch_root,
+                cleaned_dir=cleaned_dir,
+                keep_workspaces=keep_workspaces,
+                network_allowed=network_allowed,
+                on_outcome=lambda oc: (store.append_outcome(oc), outcomes.append(oc)),
             )
-            try:
-                execute_package(
-                    manifest,
-                    interpreters,
-                    budget,
-                    mode,
-                    scratch_root,
-                    cleaned_dir=cleaned_dir if mode == MODE_CLEANED else None,
-                    keep_workspaces=keep_workspaces,
-                    network_allowed=network_allowed,
-                    on_outcome=lambda oc: (store.append_outcome(oc), out_queue.put(oc)),
-                )
-                store.append_event(pid, mode, "completed")
-            except WorkspaceError as exc:
-                store.append_event(pid, mode, "workspace_failure", str(exc))
-            except InterpreterConfigError:
-                raise
-            except Exception as exc:  # crashed worker: isolate to this package
-                store.append_event(pid, mode, "infrastructure_failure", repr(exc))
+            store.append_event(pid, mode, "completed")
+        except WorkspaceError as exc:
+            store.append_event(pid, mode, "workspace_failure", str(exc))
+        except InterpreterConfigError:
+            raise
+        except Exception as exc:  # crashed worker: isolate to this unit
+            store.append_event(pid, mode, "infrastructure_failure", repr(exc))
+        return outcomes
 
     pool = ThreadPoolExecutor(max_workers=max(1, jobs))
-    futures = [pool.submit(job, m) for m in manifests]
-    for f in futures:
-        # also called when the job raises, so the count below always reaches zero
-        f.add_done_callback(lambda _: out_queue.put(_JOB_DONE))
     try:
-        running = len(futures)
-        while running:
-            item = out_queue.get()
-            if item is _JOB_DONE:
-                running -= 1
-            else:
-                yield item
-        for f in futures:
-            f.result()  # propagate config/store errors
+        futures = [pool.submit(run_unit, m, mode) for m, mode in units]
+        for f in as_completed(futures):
+            yield from f.result()
     finally:
-        pool.shutdown(wait=True)
+        pool.shutdown(wait=True, cancel_futures=True)

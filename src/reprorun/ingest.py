@@ -25,7 +25,7 @@ import re
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import MISSING, asdict, dataclass, field, fields
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -65,6 +65,20 @@ class ApiFormatError(IngestError):
         self.payload_excerpt = excerpt
 
 
+def from_fields(cls, data: dict, **values):
+    """Build dataclass ``cls`` from the keys of ``data`` that name its fields.
+
+    ``values`` are given as they are. A field with neither a key in
+    ``data`` nor a default raises KeyError.
+    """
+    for f in fields(cls):
+        if f.name not in values and (
+            f.name in data or (f.default is MISSING and f.default_factory is MISSING)
+        ):
+            values[f.name] = data[f.name]
+    return cls(**values)
+
+
 @dataclass
 class PackageRef:
     """Identity and grouping metadata of one replication package."""
@@ -73,14 +87,6 @@ class PackageRef:
     title: str = ""
     publication_date: str | None = None
     metadata: dict = field(default_factory=dict)
-
-    def to_dict(self) -> dict:
-        return {
-            "persistent_id": self.persistent_id,
-            "title": self.title,
-            "publication_date": self.publication_date,
-            "metadata": self.metadata,
-        }
 
 
 @dataclass
@@ -94,27 +100,20 @@ class FileEntry:
     error: str | None = None
     original_label: str | None = None
 
-    def to_dict(self) -> dict:
-        return {
-            "relative_path": self.relative_path,
-            "size": self.size,
-            "checksum": self.checksum,
-            "verified": self.verified,
-            "error": self.error,
-            "original_label": self.original_label,
-        }
-
 
 @dataclass
 class PackageManifest:
-    """Catalog of one package's files on local disk, plus fetch provenance."""
+    """Catalog of one package's files on local disk, plus fetch provenance.
+
+    Saved flat: the ``ref`` fields first, then the others, ``files`` last.
+    """
 
     ref: PackageRef
     root: str
-    files: list[FileEntry] = field(default_factory=list)
     fetched_at: str = ""
     fetch_status: str = FETCH_OK
     failure_reason: str | None = None
+    files: list[FileEntry] = field(default_factory=list)
 
     def r_files(self) -> list[FileEntry]:
         return sorted(
@@ -123,44 +122,16 @@ class PackageManifest:
         )
 
     def to_dict(self) -> dict:
-        return {
-            "persistent_id": self.ref.persistent_id,
-            "title": self.ref.title,
-            "publication_date": self.ref.publication_date,
-            "metadata": self.ref.metadata,
-            "root": self.root,
-            "fetched_at": self.fetched_at,
-            "fetch_status": self.fetch_status,
-            "failure_reason": self.failure_reason,
-            "files": [e.to_dict() for e in self.files],
-        }
+        data = asdict(self)
+        return {**data.pop("ref"), **data}
 
     @classmethod
     def from_dict(cls, data: dict) -> "PackageManifest":
-        ref = PackageRef(
-            persistent_id=data["persistent_id"],
-            title=data.get("title", ""),
-            publication_date=data.get("publication_date"),
-            metadata=data.get("metadata", {}),
-        )
-        files = [
-            FileEntry(
-                relative_path=f["relative_path"],
-                size=f.get("size", 0),
-                checksum=f.get("checksum"),
-                verified=f.get("verified", VERIFIED_UNCHECKED),
-                error=f.get("error"),
-                original_label=f.get("original_label"),
-            )
-            for f in data.get("files", [])
-        ]
-        return cls(
-            ref=ref,
-            root=data["root"],
-            files=files,
-            fetched_at=data.get("fetched_at", ""),
-            fetch_status=data.get("fetch_status", FETCH_OK),
-            failure_reason=data.get("failure_reason"),
+        return from_fields(
+            cls,
+            data,
+            ref=from_fields(PackageRef, data),
+            files=[from_fields(FileEntry, f) for f in data.get("files", [])],
         )
 
 

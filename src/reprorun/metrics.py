@@ -12,7 +12,7 @@ from __future__ import annotations
 import os
 import re
 import statistics
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 from . import rsource
@@ -41,6 +41,7 @@ class FileMetrics:
     """Static measurements for one R source file."""
 
     path: str
+    package_id: str | None = None
     code_lines: int = 0
     comment_lines: int = 0
     blank_lines: int = 0
@@ -53,29 +54,13 @@ class FileMetrics:
     is_ascii: bool = True
     detected_encoding: str = "ascii"
     dependency_scan_skips: int = 0
-    package_id: str | None = None
 
     @property
     def total_lines(self) -> int:
         return self.code_lines + self.comment_lines + self.blank_lines
 
     def to_dict(self) -> dict:
-        return {
-            "path": self.path,
-            "package_id": self.package_id,
-            "code_lines": self.code_lines,
-            "comment_lines": self.comment_lines,
-            "blank_lines": self.blank_lines,
-            "code_to_comment_ratio": self.code_to_comment_ratio,
-            "dependencies": self.dependencies,
-            "function_count": self.function_count,
-            "class_count": self.class_count,
-            "variable_names": self.variable_names,
-            "mean_variable_name_length": self.mean_variable_name_length,
-            "is_ascii": self.is_ascii,
-            "detected_encoding": self.detected_encoding,
-            "dependency_scan_skips": self.dependency_scan_skips,
-        }
+        return asdict(self)
 
 
 @dataclass

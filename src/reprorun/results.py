@@ -340,9 +340,8 @@ def group_report(store, metadata_key: str, mode: str = MODE_CLEANED) -> list[dic
     return rows
 
 
-def mode_summary(store, mode: str) -> dict:
-    """Verdict counts and rates for one cleaning mode."""
-    combined = combined_results(store.outcomes(), mode)
+def mode_summary(mode: str, combined: list[CombinedResult]) -> dict:
+    """Verdict counts and rates for one cleaning mode's combined file results."""
     datasets = dataset_results(combined)
     verdict_counts = Counter(r.verdict for r in combined)
     dataset_counts = Counter(d.verdict for d in datasets)
@@ -356,8 +355,13 @@ def mode_summary(store, mode: str) -> dict:
 
 
 def overview(store) -> dict:
-    """Whole-run report: per-mode summaries plus the cleaning comparison."""
-    modes = sorted({o.cleaning_mode for o in store.outcomes()})
+    """Whole-run report: per-mode summaries plus the cleaning comparison.
+
+    Each mode's outcomes are folded once and shared by its summary and
+    the comparison.
+    """
+    outcomes = store.outcomes()
+    combined = {m: combined_results(outcomes, m) for m in sorted({o.cleaning_mode for o in outcomes})}
     packages = store.packages()
     report: dict = {
         "run_id": store.run_id,
@@ -367,12 +371,10 @@ def overview(store) -> dict:
                 sorted(Counter(r.get("fetch_status", "ok") for r in packages.values()).items())
             ),
         },
-        "modes": [mode_summary(store, m) for m in modes],
+        "modes": [mode_summary(m, results) for m, results in combined.items()],
     }
-    if MODE_RAW in modes and MODE_CLEANED in modes:
-        raw = combined_results(store.outcomes(), MODE_RAW)
-        cleaned = combined_results(store.outcomes(), MODE_CLEANED)
-        report["cleaning_effect"] = compare_runs(raw, cleaned).to_dict()
+    if MODE_RAW in combined and MODE_CLEANED in combined:
+        report["cleaning_effect"] = compare_runs(combined[MODE_RAW], combined[MODE_CLEANED]).to_dict()
     return report
 
 

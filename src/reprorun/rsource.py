@@ -183,15 +183,17 @@ def strip_quotes(token: str) -> str | None:
 
 def is_bare_name(token: str) -> bool:
     """True for a bare R identifier usable as a package or variable name."""
-    token = token.strip()
     if not token or token[0] not in _IDENT_CHARS or token[0].isdigit():
         return False
     return all(ch in _IDENT_CHARS for ch in token)
 
 
 def package_name(arg: str) -> str | None:
-    """The package a ``library``-style first argument names, quoted or bare, else None."""
+    """The package a ``library``-style first argument names, quoted or bare, else None.
+
+    A quoted name padded with whitespace, as in ``library(" ggplot2 ")``,
+    names no package (R fails on it), so it gives None.
+    """
     quoted = strip_quotes(arg)
-    if quoted is not None:
-        return quoted if is_bare_name(quoted) else None
-    return arg.strip() if is_bare_name(arg) else None
+    name = arg.strip() if quoted is None else quoted
+    return name if is_bare_name(name) else None

@@ -4,9 +4,11 @@ One record per line. The raw log is the source of truth: every derived
 table (combined verdicts, dataset aggregates, grouped reports) is
 recomputed from it deterministically. Appends are atomic per record and
 tolerate concurrent producers; a torn final line (crash mid-write) is
-reported and skipped on load instead of poisoning the run. Outcome
-records are parsed into ``ExecutionOutcome`` objects on the first
-``outcomes()`` call, not on load, and kept for later calls.
+reported and skipped on load instead of poisoning the run, and ``open``
+cuts it from the file before it appends. Outcome records are parsed
+into ``ExecutionOutcome`` objects on the first ``outcomes()`` call, not
+on load, and kept for later calls; the latest record of each (package,
+file, interpreter, mode) wins.
 """
 
 from __future__ import annotations
@@ -57,7 +59,11 @@ class RunStore:
         store = cls(path)
         if store.path.exists() and store.path.stat().st_size > 0:
             store._read()
-        else:
+            if store.truncated_tail:
+                # cut the torn record, so the next append starts a line of its own
+                with open(store.path, "r+b") as fh:
+                    fh.truncate(fh.read().rfind(b"\n") + 1)
+        if not store.records:
             store.path.parent.mkdir(parents=True, exist_ok=True)
             store.run_id = run_id or uuid.uuid4().hex[:12]
             store.config = config or {}
@@ -140,18 +146,23 @@ class RunStore:
     # --- views ---------------------------------------------------------------
 
     def outcomes(self, mode: str | None = None) -> list[ExecutionOutcome]:
-        """Outcome records as objects, in log order; a new list on every call.
+        """The latest outcome of each (package, file, interpreter, mode); a new list on every call.
 
-        Raises StoreError naming the line of an outcome record that lacks
-        a required key.
+        A rerun of a unit writes every one of its files again, so its
+        outcomes supersede those of an attempt that was killed part-way;
+        a file removed from the package between the attempts keeps its
+        earlier outcome. Outcomes come in the log order of each key's
+        first record. Raises StoreError naming the line of an outcome
+        record that lacks a required key.
         """
         with self._lock:
             if self._outcomes is None:
-                self._outcomes = [
-                    self._parse_outcome(i, r)
-                    for i, r in enumerate(self.records)
-                    if r.get("kind") == KIND_OUTCOME
-                ]
+                latest: dict[tuple, ExecutionOutcome] = {}
+                for i, r in enumerate(self.records):
+                    if r.get("kind") == KIND_OUTCOME:
+                        o = self._parse_outcome(i, r)
+                        latest[o.package_id, o.file, o.interpreter_label, o.cleaning_mode] = o
+                self._outcomes = list(latest.values())
             out = list(self._outcomes)
         if mode is not None:
             out = [o for o in out if o.cleaning_mode == mode]

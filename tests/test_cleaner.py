@@ -205,6 +205,11 @@ def test_library_in_comment_or_expression_untouched():
     assert actions == []
 
 
+def test_padded_quoted_name_untouched():
+    original = 'library(" ggplot2 ")\nrequire(\' MASS\')\n'
+    assert rewrite_library_loads(original) == (original, [])
+
+
 def test_user_written_guard_not_reguarded_but_mirror_injected():
     original = 'if (!require(pacman)) install.packages("pacman")\n'
     text, actions = rewrite_library_loads(original)

@@ -10,6 +10,7 @@ import pytest
 import reprorun.executor as executor_mod
 from reprorun.executor import (
     Budget,
+    ExecutionOutcome,
     InterpreterConfigError,
     InterpreterSpec,
     WorkspaceError,
@@ -20,6 +21,7 @@ from reprorun.executor import (
     run_matrix,
     validate_interpreters,
 )
+from reprorun.results import group_report
 from reprorun.store import RunStore
 
 from conftest import make_demo_corpus, make_package, stub_spec
@@ -345,3 +347,34 @@ def test_resume_skips_completed_runs(tmp_path: Path):
         run_matrix(manifests, [stub_spec()], Budget(5, 10), ["raw"], store, tmp_path / "s")
     )
     assert {o.package_id for o in outcomes} == {"local:todo"}
+
+
+def test_resume_supersedes_killed_attempt(tmp_path: Path):
+    manifest = make_package(tmp_path, "pkg", {"a.R": "x <- 1\n"})
+    path = tmp_path / "store.jsonl"
+    store = RunStore.open(path)
+    store.append_package(manifest)
+    # a killed attempt: one outcome of the unit and no completed event
+    store.append_outcome(
+        ExecutionOutcome("local:pkg", "a.R", "R3.2", "raw", "error", error_category="other", exit_code=1)
+    )
+    store.close()
+    store = RunStore.open(path)
+    outcomes = list(
+        run_matrix([manifest], [stub_spec("R3.2")], Budget(5, 10), ["raw"], store, tmp_path / "s")
+    )
+    store.close()
+    assert [o.verdict for o in outcomes] == ["success"]
+    (row,) = group_report(RunStore.load(path), "interpreter_label", mode="raw")
+    assert (row["group"], row["file_success_rate"], row["n_files"]) == ("R3.2", 1.0, 1)
+
+
+def test_closing_the_stream_cancels_units_not_started(tmp_path: Path):
+    manifests = [make_package(tmp_path, f"slow{i}", {"a.R": "Sys.sleep(0.5)\n"}) for i in range(4)]
+    store = RunStore.open(tmp_path / "store.jsonl")
+    stream = run_matrix(manifests, [stub_spec()], Budget(5, 10), ["raw"], store, tmp_path / "s", jobs=1)
+    first = next(stream)
+    assert first.verdict == "success"
+    stream.close()
+    store.close()
+    assert len(store.outcomes()) < 4

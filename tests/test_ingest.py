@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import json
 import os
 from pathlib import Path
 
@@ -8,6 +9,8 @@ import pytest
 from reprorun.ingest import (
     DataverseClient,
     IngestError,
+    PackageManifest,
+    PackageRef,
     fetch_many,
     fetch_package,
     list_packages,
@@ -359,6 +362,33 @@ def test_local_nested_structure_matches_walk(tmp_path: Path):
 def test_local_missing_directory_fatal(tmp_path: Path):
     with pytest.raises(IngestError):
         load_local_package(tmp_path / "missing")
+
+
+def test_save_manifest_key_order_and_round_trip(tmp_path: Path):
+    manifest = make_package(tmp_path, "keys", {"a.R": "1\n"}, {"journal": "J"})
+    manifest.files[0].checksum = {"algorithm": "MD5", "value": "abc"}
+    manifest.files[0].error = "HTTP 500"
+    path = tmp_path / "m.json"
+    save_manifest(manifest, path)
+    data = json.loads(path.read_text(encoding="utf-8"))
+    assert list(data) == [
+        "persistent_id", "title", "publication_date", "metadata",
+        "root", "fetched_at", "fetch_status", "failure_reason", "files",
+    ]
+    assert list(data["files"][0]) == [
+        "relative_path", "size", "checksum", "verified", "error", "original_label",
+    ]
+    assert load_manifest(path) == manifest
+
+
+def test_manifest_from_dict_defaults_and_required_keys():
+    assert PackageManifest.from_dict({"persistent_id": "x", "root": "/r"}) == PackageManifest(
+        ref=PackageRef("x"), root="/r"
+    )
+    with pytest.raises(KeyError):
+        PackageManifest.from_dict({"persistent_id": "x"})
+    with pytest.raises(KeyError):
+        PackageManifest.from_dict({"persistent_id": "x", "root": "/r", "files": [{"size": 1}]})
 
 
 def test_package_slug():

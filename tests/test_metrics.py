@@ -157,6 +157,11 @@ def test_unparseable_sites_counted():
     assert skipped == 1
 
 
+def test_padded_quoted_name_is_a_scan_skip():
+    # R fails on library(" ggplot2 "): the padded string names no package
+    assert scan_dependencies('library(" ggplot2 ")\nrequire(\'MASS \')\nlibrary( "zoo" )\n') == (["zoo"], 2)
+
+
 SIX_CALL_FIXTURE = (
     "library(ggplot2)\n"
     'require("data.table")\n'

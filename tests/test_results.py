@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import reprorun.results as results_mod
 from reprorun.executor import ExecutionOutcome
 from reprorun.results import (
     CombinedResult,
@@ -343,6 +344,25 @@ def test_reports_are_deterministic(tmp_path: Path):
     )
     assert first == second
     assert "fixed=1 broken=0" in first[2]
+
+
+def test_overview_folds_each_mode_once(tmp_path: Path, monkeypatch):
+    outcomes = [
+        outcome("p1", "a.R", "R1", "error", category="setwd", mode="raw"),
+        outcome("p1", "a.R", "R2", "error", category="setwd", mode="raw"),
+        outcome("p1", "a.R", "R1", "success"),
+        outcome("p1", "a.R", "R2", "success"),
+    ]
+    store = _store_with(tmp_path, outcomes, {"p1": {}})
+    calls = []
+    fold = results_mod.combined_results
+    monkeypatch.setattr(
+        results_mod, "combined_results", lambda outs, mode: calls.append(mode) or fold(outs, mode)
+    )
+    report = overview(store)
+    assert sorted(calls) == ["cleaned", "raw"]
+    assert [m["mode"] for m in report["modes"]] == ["cleaned", "raw"]
+    assert report["cleaning_effect"]["fixed"] == 1
 
 
 def test_group_csv_columns_stable(tmp_path: Path):

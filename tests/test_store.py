@@ -66,6 +66,40 @@ def test_torn_final_record_dropped_with_warning(tmp_path: Path, caplog):
     assert len(loaded.outcomes()) == 99
 
 
+def test_open_cuts_torn_tail_before_appending(tmp_path: Path):
+    path = tmp_path / "s.jsonl"
+    store = RunStore.open(path)
+    store.append_outcome(outcome(1))
+    store.close()
+    with open(path, "a", encoding="utf-8") as fh:
+        fh.write('{"kind": "outcome", "package_id": "pk')
+    torn = path.read_bytes()
+    assert RunStore.load(path).truncated_tail
+    assert path.read_bytes() == torn  # load stays read-only
+
+    store = RunStore.open(path)
+    assert store.truncated_tail
+    store.append_outcome(outcome(2))
+    store.append_outcome(outcome(3))
+    store.close()
+    loaded = RunStore.load(path)
+    assert not loaded.truncated_tail
+    assert [o.file for o in loaded.outcomes()] == ["f1.R", "f2.R", "f3.R"]
+
+
+def test_latest_outcome_of_each_key_wins(tmp_path: Path):
+    path = tmp_path / "s.jsonl"
+    store = RunStore.open(path)
+    stale, other = outcome(1), outcome(2)
+    store.append_outcome(stale)
+    store.append_outcome(other)
+    rerun = ExecutionOutcome(**{**stale.to_dict(), "verdict": "error", "exit_code": 1})
+    store.append_outcome(rerun)
+    store.append_outcome(outcome(1, mode="cleaned"))  # another mode is another key
+    store.close()
+    assert RunStore.load(path).outcomes() == [rerun, other, outcome(1, mode="cleaned")]
+
+
 def test_corruption_before_tail_is_fatal(tmp_path: Path):
     path = tmp_path / "s.jsonl"
     store = RunStore.open(path)
