@@ -2,9 +2,10 @@
 
 Speaks the documented Dataverse API shapes (``/api/search``,
 ``/api/datasets/:persistentId/versions/:latest/files`` and
-``/api/access/datafile/:id``) behind a thin client, so tests can point it
-at a local mock server. Local directories can be cataloged without any
-repository via :func:`load_local_package`.
+``/api/access/datafile/:id``) behind a thin client over the standard
+library's ``http.client``, so tests can point it at a local mock server.
+Local directories can be cataloged without any repository via
+:func:`load_local_package`.
 
 Files are stored flat per package (the cleaner's basename rewrite relies
 on every file sitting in one directory); name collisions are resolved by
@@ -12,26 +13,30 @@ suffixing ``_1``, ``_2`` and recording the original label on the entry.
 
 :func:`fetch_many` gives each worker thread one client, so each worker
 fetches all of its packages over one keep-alive connection. A client
-reads the environment (proxies, CA bundle, netrc) once, for its API
-host, instead of on every request.
+reads the environment (proxies, CA bundle, netrc) once, when it is made,
+instead of on every request.
 """
 
 from __future__ import annotations
 
+import base64
 import hashlib
+import http.client
 import json
+import netrc
 import os
 import re
+import ssl
 import threading
 import time
+import urllib.request
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import MISSING, asdict, dataclass, field, fields
 from datetime import datetime, timezone
 from pathlib import Path
+from urllib.parse import SplitResult, unquote, urlencode, urljoin, urlsplit
 
-import requests
-
-from . import rsource
+from . import __version__, rsource
 
 API_TOKEN_ENV = "DATAVERSE_API_TOKEN"
 
@@ -42,6 +47,12 @@ VERIFIED_UNCHECKED = "unchecked"
 FETCH_OK = "ok"
 FETCH_PARTIAL = "partial"
 FETCH_FAILED = "failed"
+
+USER_AGENT = f"reprorun/{__version__}"
+DEFAULT_PORTS = {"http": 80, "https": 443}
+REDIRECT_STATUSES = frozenset({301, 302, 303, 307, 308})
+MAX_REDIRECTS = 30
+DRAIN_BYTES = 65536  # an error or redirect body up to this size is read, keeping the connection
 
 
 class IngestError(Exception):
@@ -153,15 +164,64 @@ def _utc_now() -> str:
     return datetime.now(timezone.utc).isoformat()
 
 
-class DataverseClient:
-    """Thin HTTP client for a Dataverse-compatible repository.
+def _origin(parts: SplitResult) -> tuple[str, str, int]:
+    """(scheme, host, port) of an http or https URL."""
+    try:
+        if parts.hostname:
+            return parts.scheme, parts.hostname, parts.port or DEFAULT_PORTS[parts.scheme]
+    except (KeyError, ValueError):
+        pass
+    raise IngestError(f"not an http or https URL: {parts.geturl()!r}")
 
-    The proxies, CA bundle and netrc credentials that requests would pick
-    from the environment for ``api_base`` are read once, here, and kept on
-    the session, which then stops consulting the environment per request.
-    Requests to the API host behave as with per-request lookup; a redirect
-    to another host keeps the API host's proxy choice and gets no netrc
-    lookup for that host.
+
+def _basic_auth(user: str, password: str) -> str:
+    return "Basic " + base64.b64encode(f"{user}:{password}".encode()).decode("ascii")
+
+
+def _netrc_headers(host: str) -> dict:
+    """The Authorization header for ``host`` from ``$NETRC``, else ``~/.netrc`` or ``~/_netrc``."""
+    names = [os.environ["NETRC"]] if "NETRC" in os.environ else ["~/.netrc", "~/_netrc"]
+    paths = [p for p in map(os.path.expanduser, names) if os.path.exists(p)]
+    if not paths:
+        return {}
+    try:
+        found = netrc.netrc(paths[0]).authenticators(host)
+    except (netrc.NetrcParseError, OSError):
+        return {}
+    if not found:
+        return {}
+    login, account, password = found
+    return {"Authorization": _basic_auth(login or account, password)}
+
+
+def _release(conn: http.client.HTTPConnection, resp: http.client.HTTPResponse) -> None:
+    """Close ``conn`` unless ``resp`` was read to its end, so no request meets a stale body."""
+    if not resp.isclosed() or resp.length:
+        conn.close()
+
+
+def _discard(conn: http.client.HTTPConnection, resp: http.client.HTTPResponse) -> None:
+    """Read a small unwanted body, so its connection stays reusable."""
+    try:
+        resp.read(DRAIN_BYTES)
+    except (OSError, http.client.HTTPException):
+        pass
+    _release(conn, resp)
+
+
+class DataverseClient:
+    """Thin HTTP client for a Dataverse-compatible repository, over ``http.client``.
+
+    It keeps one keep-alive connection per origin (scheme, host, port),
+    so use one client per thread. The environment is read once, here:
+    the proxy (``http_proxy``, ``https_proxy``, ``all_proxy``, as chosen
+    for the API host under ``no_proxy``; an https origin is reached
+    through a CONNECT tunnel), the CA bundle (``REQUESTS_CA_BUNDLE`` or
+    ``CURL_CA_BUNDLE``, else the system trust store; the TLS context is
+    made when the first https origin connects) and the ``.netrc``
+    credentials of the API host. Redirects are followed; a redirect to
+    another origin keeps the API host's proxy choice, and the API token
+    and netrc credentials go to the API origin only.
     """
 
     def __init__(
@@ -177,51 +237,141 @@ class DataverseClient:
         self.retries = retries
         self.backoff = backoff
         self.timeout = timeout
-        self.session = requests.Session()
-        settings = self.session.merge_environment_settings(self.api_base, {}, None, None, None)
-        self.session.proxies = settings["proxies"]
-        self.session.verify = settings["verify"]
-        self.session.auth = requests.utils.get_netrc_auth(self.api_base)
-        self.session.trust_env = False
+        base = urlsplit(self.api_base)
+        self._api_origin = _origin(base)
+        self._api_path = base.path
+        host = self._api_origin[1]
+        self._proxies = {} if urllib.request.proxy_bypass(host) else urllib.request.getproxies()
+        self._ca_bundle = os.environ.get("REQUESTS_CA_BUNDLE") or os.environ.get("CURL_CA_BUNDLE")
+        self._tls: ssl.SSLContext | None = None
+        self._api_headers = {**_netrc_headers(host), **self._headers()}
+        # origin -> (connection, prefix of the request target, headers)
+        self._connections: dict[tuple, tuple[http.client.HTTPConnection, str, dict]] = {}
 
     def close(self) -> None:
-        self.session.close()
+        for conn, _, _ in self._connections.values():
+            conn.close()
+        self._connections.clear()
 
     def _headers(self) -> dict:
         return {"X-Dataverse-key": self.token} if self.token else {}
 
-    def _get(self, path: str, params: dict | None = None, stream: bool = False) -> requests.Response:
+    def _tls_context(self) -> ssl.SSLContext:
+        if self._tls is None:
+            bundle = self._ca_bundle
+            if bundle and os.path.isdir(bundle):
+                self._tls = ssl.create_default_context(capath=bundle)
+            else:
+                self._tls = ssl.create_default_context(cafile=bundle)
+        return self._tls
+
+    def _connection(self, origin: tuple) -> tuple[http.client.HTTPConnection, str, dict]:
+        known = self._connections.get(origin)
+        if known:
+            return known
+        scheme, host, port = origin
+        headers = {"User-Agent": USER_AGENT, **(self._api_headers if origin == self._api_origin else {})}
+        prefix = ""
+        address = (host, port)
+        proxy = self._proxies.get(scheme) or self._proxies.get("all")
+        if proxy:
+            parts = urlsplit(proxy if "://" in proxy else "http://" + proxy)
+            proxy_scheme, proxy_host, proxy_port = _origin(parts)
+            if proxy_scheme != "http":
+                raise IngestError(f"unsupported proxy {proxy!r}: only http:// proxies are supported")
+            address = (proxy_host, proxy_port)
+            proxy_headers = (
+                {"Proxy-Authorization": _basic_auth(unquote(parts.username), unquote(parts.password or ""))}
+                if parts.username
+                else {}
+            )
+        if scheme == "https":
+            conn = http.client.HTTPSConnection(*address, timeout=self.timeout, context=self._tls_context())
+            if proxy:
+                conn.set_tunnel(host, port, proxy_headers)
+        else:
+            conn = http.client.HTTPConnection(*address, timeout=self.timeout)
+            if proxy:
+                prefix = f"http://[{host}]:{port}" if ":" in host else f"http://{host}:{port}"
+                headers.update(proxy_headers)
+        self._connections[origin] = entry = (conn, prefix, headers)
+        return entry
+
+    @staticmethod
+    def _exchange(conn: http.client.HTTPConnection, target: str, headers: dict) -> http.client.HTTPResponse:
+        try:
+            conn.request("GET", target, headers=headers)
+            return conn.getresponse()
+        except BaseException:
+            conn.close()
+            raise
+
+    def _request(self, origin: tuple, target: str) -> tuple[http.client.HTTPConnection, http.client.HTTPResponse]:
+        """One GET; a kept-alive connection the server has since closed is reopened once, at once."""
+        conn, prefix, headers = self._connection(origin)
+        reused = conn.sock is not None
+        try:
+            return conn, self._exchange(conn, prefix + target, headers)
+        except (ConnectionResetError, BrokenPipeError):  # RemoteDisconnected is a ConnectionResetError
+            if not reused:
+                raise
+        return conn, self._exchange(conn, prefix + target, headers)
+
+    def _follow(self, url: str, origin: tuple, target: str):
+        """GET ``url`` (``target`` at ``origin``), following redirects."""
+        for _ in range(MAX_REDIRECTS + 1):
+            conn, resp = self._request(origin, target)
+            location = resp.getheader("Location")
+            if resp.status not in REDIRECT_STATUSES or location is None:
+                return conn, resp
+            _discard(conn, resp)
+            url = urljoin(url, location)
+            parts = urlsplit(url)
+            origin = _origin(parts)
+            target = (parts.path or "/") + ("?" + parts.query if parts.query else "")
+        raise IngestError(f"more than {MAX_REDIRECTS} redirects, the last to {url}")
+
+    def _get(self, path: str, params: dict | None = None):
+        """GET ``path`` under the API base: the connection and a response below HTTP 400.
+
+        The caller reads the body and then hands both to ``_release``.
+        """
         url = self.api_base + path
+        query = "?" + urlencode(params) if params else ""
         last: Exception | None = None
         for attempt in range(self.retries):
             try:
-                resp = self.session.get(
-                    url, params=params, headers=self._headers(), stream=stream, timeout=self.timeout
-                )
-            except (requests.ConnectionError, requests.Timeout) as exc:
+                conn, resp = self._follow(url + query, self._api_origin, self._api_path + path + query)
+            except (OSError, http.client.HTTPException) as exc:
                 last = exc
                 time.sleep(self.backoff * (attempt + 1))
                 continue
-            if resp.status_code < 400:
-                return resp
-            resp.close()  # an unread streamed body would keep its connection out of the pool
-            if resp.status_code in (401, 403):
-                raise AuthorizationError(f"access denied for {url} (HTTP {resp.status_code})")
-            if 500 <= resp.status_code < 600:
-                last = NetworkError(f"HTTP {resp.status_code} from {url}")
+            if resp.status < 400:
+                return conn, resp
+            _discard(conn, resp)
+            if resp.status in (401, 403):
+                raise AuthorizationError(f"access denied for {url} (HTTP {resp.status})")
+            if 500 <= resp.status < 600:
+                last = NetworkError(f"HTTP {resp.status} from {url}")
                 time.sleep(self.backoff * (attempt + 1))
                 continue
-            raise IngestError(f"HTTP {resp.status_code} from {url}")
+            raise IngestError(f"HTTP {resp.status} from {url}")
         raise NetworkError(f"giving up on {url} after {self.retries} attempts: {last}")
 
     def _get_json(self, path: str, params: dict | None = None) -> dict:
-        resp = self._get(path, params)
+        conn, resp = self._get(path, params)
         try:
-            payload = resp.json()
+            body = resp.read()
+        except (OSError, http.client.HTTPException) as exc:
+            raise NetworkError(f"reading the response from {self.api_base + path} failed: {exc!r}") from None
+        finally:
+            _release(conn, resp)
+        try:
+            payload = json.loads(body)
         except ValueError:
-            raise ApiFormatError("response is not JSON", resp.text) from None
+            raise ApiFormatError("response is not JSON", body.decode("utf-8", "replace")) from None
         if not isinstance(payload, dict) or payload.get("status") != "OK" or "data" not in payload:
-            raise ApiFormatError("unexpected API envelope", resp.text)
+            raise ApiFormatError("unexpected API envelope", body.decode("utf-8", "replace"))
         return payload["data"]
 
     def search(self, query: str, start: int, per_page: int) -> dict:
@@ -243,10 +393,21 @@ class DataverseClient:
         return data
 
     def download_file(self, file_id: int, dest: Path) -> None:
-        resp = self._get(f"/api/access/datafile/{file_id}", stream=True)
-        with open(dest, "wb") as fh:
-            for chunk in resp.iter_content(chunk_size=65536):
-                fh.write(chunk)
+        """Stream one datafile to ``dest``; a body cut short is a NetworkError."""
+        path = f"/api/access/datafile/{file_id}"
+        conn, resp = self._get(path)
+        try:
+            with open(dest, "wb") as fh:
+                while chunk := resp.read(65536):
+                    fh.write(chunk)
+        except http.client.HTTPException as exc:
+            raise NetworkError(f"download from {self.api_base + path} broke off: {exc!r}") from None
+        finally:
+            _release(conn, resp)
+        if resp.length:
+            raise NetworkError(
+                f"download from {self.api_base + path} broke off: {resp.length} more bytes expected"
+            )
 
 
 def _ref_from_search_item(item: dict) -> PackageRef | None:

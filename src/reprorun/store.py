@@ -3,12 +3,13 @@
 One record per line. The raw log is the source of truth: every derived
 table (combined verdicts, dataset aggregates, grouped reports) is
 recomputed from it deterministically. Appends are atomic per record and
-tolerate concurrent producers; a torn final line (crash mid-write) is
-reported and skipped on load instead of poisoning the run, and ``open``
-cuts it from the file before it appends. Outcome records are parsed
-into ``ExecutionOutcome`` objects on the first ``outcomes()`` call, not
-on load, and kept for later calls; the latest record of each (package,
-file, interpreter, mode) wins.
+tolerate concurrent producers; a torn final line (crash mid-write, even
+inside a multi-byte character) is reported and skipped on load instead
+of poisoning the run, and ``open`` cuts it from the file before it
+appends. Invalid UTF-8 before the final line is a StoreError. Outcome
+records are parsed into ``ExecutionOutcome`` objects on the first
+``outcomes()`` call, not on load, and kept for later calls; the latest
+record of each (package, file, interpreter, mode) wins.
 """
 
 from __future__ import annotations
@@ -79,11 +80,21 @@ class RunStore:
 
     def _read(self) -> None:
         try:
-            raw_lines = self.path.read_text(encoding="utf-8").split("\n")
+            data = self.path.read_bytes()
         except OSError as exc:
             raise StoreError(f"cannot read store {self.path}: {exc}") from exc
-        if raw_lines and raw_lines[-1] == "":
-            raw_lines.pop()
+        end = data.rfind(b"\n") + 1
+        try:
+            raw_lines = data[:end].decode("utf-8").split("\n")
+        except UnicodeDecodeError as exc:
+            line = data.count(b"\n", 0, exc.start) + 1
+            raise StoreError(f"record at line {line} of {self.path} is not valid UTF-8") from None
+        raw_lines.pop()  # "" after the last newline
+        if end < len(data):
+            try:
+                raw_lines.append(data[end:].decode("utf-8"))
+            except UnicodeDecodeError:  # torn inside a multi-byte character
+                raw_lines.append("")
         for i, line in enumerate(raw_lines):
             try:
                 record = json.loads(line)

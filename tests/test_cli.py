@@ -1,6 +1,9 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -190,6 +193,15 @@ def test_report_malformed_outcome_record_exit_6(tmp_path: Path, capsys):
     assert "Traceback" not in err
 
 
+def test_report_invalid_utf8_record_exit_6(tmp_path: Path, capsys):
+    store_path = tmp_path / "s.jsonl"
+    store_path.write_bytes(b'{"kind": "config", "run_id": "r\xe9"}\n{"kind": "package_event"}\n')
+    assert main(["report", "--store", str(store_path), "--out", str(tmp_path / "o")]) == 6
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "line 1" in err and "UTF-8" in err
+    assert "Traceback" not in err
+
+
 def test_report_metadata_overlay_for_policy(cli_corpus: Path, tmp_path: Path):
     store_path = tmp_path / "store.jsonl"
     assert main([
@@ -236,3 +248,15 @@ def test_subcommands_match_spec():
     parser = build_parser()
     with pytest.raises(SystemExit):
         parser.parse_args(["--help"])
+
+
+def test_cli_imports_without_requests():
+    import reprorun
+
+    src = str(Path(reprorun.__file__).resolve().parent.parent)
+    code = "import sys, reprorun.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'requests'))"
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"

@@ -2,6 +2,11 @@ from __future__ import annotations
 
 import json
 import os
+import socket
+import threading
+import time
+from contextlib import contextmanager
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 
 import pytest
@@ -433,3 +438,171 @@ def test_api_token_from_environment(monkeypatch):
     assert client._headers() == {"X-Dataverse-key": "sekrit"}
     monkeypatch.delenv("DATAVERSE_API_TOKEN")
     assert DataverseClient("http://example.org")._headers() == {}
+
+
+# --- HTTP behaviour of the client ------------------------------------------------
+
+
+@contextmanager
+def http_server(respond):
+    """A loopback HTTP/1.1 server that calls ``respond(handler)`` for every GET.
+
+    Yields the base URL and a list that holds the client port of each
+    request, so tests can count connections.
+    """
+    peers: list[int] = []
+
+    class Handler(BaseHTTPRequestHandler):
+        protocol_version = "HTTP/1.1"
+
+        def log_message(self, *args):
+            pass
+
+        def do_GET(self):  # noqa: N802 (http.server API)
+            peers.append(self.client_address[1])
+            respond(self)
+
+    server = ThreadingHTTPServer(("127.0.0.1", 0), Handler)
+    server.daemon_threads = True
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    try:
+        yield f"http://127.0.0.1:{server.server_address[1]}", peers
+    finally:
+        server.shutdown()
+        server.server_close()
+        thread.join(timeout=5)
+
+
+def send(handler, status: int, body: bytes = b"", headers: dict | None = None, length: int | None = None):
+    handler.send_response(status)
+    for name, value in (headers or {}).items():
+        handler.send_header(name, value)
+    handler.send_header("Content-Length", str(len(body) if length is None else length))
+    handler.end_headers()
+    handler.wfile.write(body)
+
+
+def listing(*names: str) -> bytes:
+    items = [{"label": name, "dataFile": {"id": i + 1, "filename": name}} for i, name in enumerate(names)]
+    return json.dumps({"status": "OK", "data": items}).encode()
+
+
+def test_redirect_to_another_host_carries_no_credentials(tmp_path: Path, monkeypatch):
+    # netrc credentials exist for the storage host too; only the API origin may get them
+    (tmp_path / "netrc").write_text("machine 127.0.0.1 login user password pw\n", encoding="utf-8")
+    monkeypatch.setenv("NETRC", str(tmp_path / "netrc"))
+    seen = {}
+
+    def storage(handler):
+        seen["storage"] = handler.headers
+        send(handler, 200, b"file bytes")
+
+    with http_server(storage) as (storage_url, _):
+
+        def api(handler):
+            seen["api"] = handler.headers
+            send(handler, 303, headers={"Location": f"{storage_url}/bucket/7?X-Amz-Signature=abc"})
+
+        with http_server(api) as (api_url, _):
+            client = DataverseClient(api_url, token="sekrit")
+            client.download_file(7, tmp_path / "f.bin")
+            client.close()
+    assert (tmp_path / "f.bin").read_bytes() == b"file bytes"
+    assert seen["api"]["X-Dataverse-key"] == "sekrit"
+    assert seen["api"]["Authorization"].startswith("Basic ")
+    assert "X-Dataverse-key" not in seen["storage"]
+    assert "Authorization" not in seen["storage"]
+
+
+def test_redirect_loop_is_an_ingest_error():
+    def loop(handler):
+        send(handler, 302, headers={"Location": "/again"})
+
+    with http_server(loop) as (url, peers):
+        client = DataverseClient(url, retries=1, backoff=0.0)
+        with pytest.raises(IngestError, match="redirects"):
+            client.dataset_files("doi:x")
+        client.close()
+    assert len(set(peers)) == 1  # each redirect body was read, so one connection served them all
+
+
+def test_short_download_marks_entry_and_package_partial(tmp_path: Path):
+    def respond(handler):
+        if handler.path.startswith("/api/datasets/"):
+            send(handler, 200, listing("good.R", "short.bin"))
+        elif handler.path.endswith("/1"):
+            send(handler, 200, b"x <- 1\n")
+        else:
+            send(handler, 200, b"0123456789", length=100)
+            handler.close_connection = True
+
+    with http_server(respond) as (url, _):
+        (manifest,) = fetch_many(
+            [PackageRef("doi:10.5072/FK2/SHORT")], tmp_path, lambda: DataverseClient(url, retries=1), jobs=1
+        )
+    assert manifest.fetch_status == "partial"
+    good, short = manifest.files
+    assert good.error is None and good.size == 7
+    assert "90 more" in short.error
+
+
+def test_stale_keep_alive_connection_is_reopened_without_a_retry():
+    def respond(handler):
+        # keep-alive by HTTP/1.1 default, then the server hangs up anyway
+        send(handler, 200, listing("a.R"))
+        handler.close_connection = True
+
+    with http_server(respond) as (url, peers):
+        client = DataverseClient(url, retries=1, backoff=30.0)
+        started = time.monotonic()
+        assert len(client.dataset_files("doi:a")) == 1
+        assert len(client.dataset_files("doi:b")) == 1
+        elapsed = time.monotonic() - started
+        client.close()
+    assert elapsed < 10  # no backoff sleep
+    assert len(set(peers)) == 2
+
+
+def test_error_status_keeps_the_connection(tmp_path: Path):
+    def respond(handler):
+        if "missing" in handler.path:
+            send(handler, 404, b'{"status": "ERROR", "message": "no such dataset"}')
+        else:
+            send(handler, 200, listing("a.R"))
+
+    with http_server(respond) as (url, peers):
+        client = DataverseClient(url, retries=1)
+        with pytest.raises(IngestError, match="HTTP 404"):
+            client.dataset_files("doi:missing")
+        assert len(client.dataset_files("doi:there")) == 1
+        client.close()
+    assert len(peers) == 2 and len(set(peers)) == 1
+
+
+def test_https_api_base_is_tunnelled_through_environment_proxy(proxy_env):
+    from reprorun.ingest import NetworkError
+
+    lines: list[bytes] = []
+    listener = socket.create_server(("127.0.0.1", 0))
+
+    def proxy():
+        conn, _ = listener.accept()
+        with conn, conn.makefile("rb") as reader:
+            lines.append(reader.readline())
+            conn.sendall(b"HTTP/1.1 502 Bad Gateway\r\nContent-Length: 0\r\n\r\n")
+
+    thread = threading.Thread(target=proxy, daemon=True)
+    thread.start()
+    for name in ("https_proxy", "HTTPS_PROXY"):
+        proxy_env.delenv(name, raising=False)
+    proxy_env.setenv("HTTPS_PROXY", f"http://127.0.0.1:{listener.getsockname()[1]}")
+    try:
+        client = DataverseClient("https://localhost", retries=1, backoff=0.0, timeout=5.0)
+        with pytest.raises(NetworkError):
+            client.search("*", start=0, per_page=1)
+        thread.join(timeout=5)
+    finally:
+        listener.close()
+    assert not thread.is_alive()
+    assert lines and lines[0].startswith(b"CONNECT localhost:443 ")

@@ -87,6 +87,54 @@ def test_open_cuts_torn_tail_before_appending(tmp_path: Path):
     assert [o.file for o in loaded.outcomes()] == ["f1.R", "f2.R", "f3.R"]
 
 
+def _store_torn_inside_e_acute(path: Path) -> bytes:
+    """A store whose last record is cut after the first byte of a two-byte ``é``."""
+    store = RunStore.open(path)
+    store.append_outcome(ExecutionOutcome("p", "é.R", "R1", "raw", "success", stderr_tail="café"))
+    store.close()
+    whole = json.dumps({"kind": "outcome", "package_id": "p", "stderr_tail": "é"}, ensure_ascii=False)
+    torn = whole.encode("utf-8")[: whole.index("é") + 1]
+    with open(path, "ab") as fh:
+        fh.write(torn)
+    return path.read_bytes()
+
+
+def test_torn_tail_inside_a_multibyte_character_is_dropped(tmp_path: Path):
+    path = tmp_path / "s.jsonl"
+    torn = _store_torn_inside_e_acute(path)
+    loaded = RunStore.load(path)
+    assert loaded.truncated_tail
+    assert [o.stderr_tail for o in loaded.outcomes()] == ["café"]
+    assert path.read_bytes() == torn  # load stays read-only
+
+
+def test_open_cuts_a_multibyte_torn_tail_before_appending(tmp_path: Path):
+    path = tmp_path / "s.jsonl"
+    _store_torn_inside_e_acute(path)
+    store = RunStore.open(path)
+    assert store.truncated_tail
+    store.append_outcome(outcome(2))
+    store.append_event("p", "raw", "completed")
+    store.close()
+    loaded = RunStore.load(path)
+    assert not loaded.truncated_tail
+    assert [o.file for o in loaded.outcomes()] == ["é.R", "f2.R"]
+    assert loaded.completed_runs() == {("p", "raw")}
+
+
+def test_invalid_utf8_before_the_tail_is_store_error_naming_its_line(tmp_path: Path):
+    path = tmp_path / "s.jsonl"
+    store = RunStore.open(path)
+    for i in range(3):
+        store.append_outcome(outcome(i))
+    store.close()
+    lines = path.read_bytes().split(b"\n")
+    lines[2] = lines[2].replace(b"f1.R", b"f\xff.R")
+    path.write_bytes(b"\n".join(lines))
+    with pytest.raises(StoreError, match="line 3 .*not valid UTF-8"):
+        RunStore.load(path)
+
+
 def test_latest_outcome_of_each_key_wins(tmp_path: Path):
     path = tmp_path / "s.jsonl"
     store = RunStore.open(path)
