@@ -134,7 +134,6 @@ def rewrite_setwd(text: str) -> tuple[str, list[CleanAction]]:
             line = line[:name_start] + after + line[close + 1 :]
             actions.append(CleanAction(SETWD_REWRITTEN, lineno, before, after))
         lines[lineno - 1] = line
-    actions.sort(key=lambda a: a.line)
     return "\n".join(lines), actions
 
 
@@ -197,7 +196,6 @@ def rewrite_paths(text: str) -> tuple[str, list[CleanAction]]:
             line = line[:start] + after + line[end:]
             actions.append(CleanAction(PATH_BASENAMED, lineno, before, after))
         lines[lineno - 1] = line
-    actions.sort(key=lambda a: a.line)
     return "\n".join(lines), actions
 
 
@@ -261,7 +259,6 @@ def rewrite_library_loads(text: str, mirror: str = DEFAULT_CRAN_MIRROR) -> tuple
             actions.append(CleanAction(MIRROR_INJECTED, lineno, before, line[name_start : close + 1 + len(injected)]))
 
         lines[lineno - 1] = line
-    actions.sort(key=lambda a: a.line)
     return "\n".join(lines), actions
 
 

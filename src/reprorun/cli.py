@@ -18,13 +18,11 @@ from .config import (
     DEFAULT_API_BASE,
     DEFAULT_QUERY,
     ConfigError,
-    RunConfig,
     load_config,
     stub_interpreters,
 )
 from .executor import (
     MODE_CLEANED,
-    Budget,
     InterpreterConfigError,
     run_matrix,
 )
@@ -249,33 +247,23 @@ def cmd_clean(args) -> int:
     return EXIT_WRITE if failures else EXIT_OK
 
 
-def _assemble_run_config(args) -> RunConfig:
-    config = load_config(args.config) if args.config else RunConfig()
-    if args.modes:
-        config.modes = [m.strip() for m in args.modes.split(",") if m.strip()]
-    if args.jobs is not None:
-        config.jobs = args.jobs
-    per_file = args.budget_file if args.budget_file is not None else config.budget.per_file
-    per_package = args.budget_package if args.budget_package is not None else config.budget.per_package
-    config.budget = Budget(per_file, per_package)
-    if args.store:
-        config.store_path = args.store
-    if args.scratch:
-        config.scratch_root = args.scratch
-    if args.no_network:
-        config.network_allowed = False
-    if args.stub:
-        config.interpreters = stub_interpreters(
-            preinstalled=args.stub_preinstalled, repo=args.stub_repo
-        )
-    return config
-
-
 def cmd_run(args) -> int:
     try:
-        config = _assemble_run_config(args)
+        config = load_config(
+            args.config,
+            modes=args.modes,
+            jobs=args.jobs,
+            per_file_seconds=args.budget_file,
+            per_package_seconds=args.budget_package,
+            store_path=args.store,
+            scratch_root=args.scratch,
+            network_allowed=False if args.no_network else None,
+            interpreters=(
+                stub_interpreters(preinstalled=args.stub_preinstalled, repo=args.stub_repo) if args.stub else None
+            ),
+        )
         manifests = ingest.discover_corpus(args.corpus)
-    except (ConfigError, ValueError, IngestError) as exc:
+    except (ConfigError, IngestError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

@@ -57,10 +57,14 @@ def stub_interpreters(
     ]
 
 
-@dataclass
+class ConfigError(ValueError):
+    pass
+
+
+@dataclass(frozen=True)
 class RunConfig:
-    api_base: str = DEFAULT_API_BASE
-    query: str = DEFAULT_QUERY
+    """The settings of one run; built once and checked once, here, whatever their source."""
+
     interpreters: list[InterpreterSpec] = field(default_factory=lambda: list(DEFAULT_INTERPRETERS))
     budget: Budget = field(default_factory=Budget)
     modes: list[str] = field(default_factory=lambda: [MODE_RAW, MODE_CLEANED])
@@ -72,15 +76,18 @@ class RunConfig:
 
     def __post_init__(self):
         if self.jobs < 1:
-            raise ValueError("jobs must be >= 1")
+            raise ConfigError(f"jobs must be >= 1, got {self.jobs}")
         if not self.modes:
-            raise ValueError("at least one cleaning mode is required")
+            raise ConfigError("at least one cleaning mode is required")
+        for i, mode in enumerate(self.modes):
+            if mode not in (MODE_RAW, MODE_CLEANED):
+                raise ConfigError(f"unknown cleaning mode {mode!r}")
+            if mode in self.modes[:i]:
+                raise ConfigError(f"cleaning mode {mode!r} listed twice")
 
     def snapshot(self) -> dict:
         """JSON-ready view stored alongside the run's outcomes."""
         return {
-            "api_base": self.api_base,
-            "query": self.query,
             "interpreters": [
                 {
                     "label": spec.label,
@@ -98,38 +105,34 @@ class RunConfig:
         }
 
 
-class ConfigError(Exception):
-    pass
+# [run] options and the ConfigParser getter that reads each; other options are ignored
+_RUN_OPTIONS = {
+    "jobs": "getint",
+    "per_file_seconds": "getfloat",
+    "per_package_seconds": "getfloat",
+    "modes": "get",
+    "network_allowed": "getboolean",
+    "cran_mirror": "get",
+    "store": "get",
+    "scratch_root": "get",
+}
 
 
-def load_config(path: Path | str) -> RunConfig:
-    """Parse an INI config file into a RunConfig."""
+def _read_ini(path: Path | str) -> dict:
+    """Option values of the ``[run]`` and ``[interpreter.*]`` sections, keyed as ``load_config`` flags."""
     parser = configparser.ConfigParser()
     parser.optionxform = str  # preserve case for env overlay keys
     read = parser.read(str(path))
     if not read:
         raise ConfigError(f"cannot read config file {path}")
 
-    config = RunConfig()
+    values = {}
     if parser.has_section("run"):
         run = parser["run"]
-        config.api_base = run.get("api_base", config.api_base)
-        config.query = run.get("query", config.query)
-        config.jobs = run.getint("jobs", config.jobs)
-        per_file = run.getfloat("per_file_seconds", config.budget.per_file)
-        per_package = run.getfloat("per_package_seconds", config.budget.per_package)
-        try:
-            config.budget = Budget(per_file, per_package)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
-        if run.get("modes"):
-            config.modes = [m.strip() for m in run["modes"].split(",") if m.strip()]
-        config.network_allowed = run.getboolean("network_allowed", config.network_allowed)
-        config.cran_mirror = run.get("cran_mirror", config.cran_mirror)
-        config.store_path = run.get("store", config.store_path)
-        config.scratch_root = run.get("scratch_root", config.scratch_root)
+        values = {option: getattr(run, getter)(option) for option, getter in _RUN_OPTIONS.items() if option in run}
+        if "store" in values:
+            values["store_path"] = values.pop("store")
 
-    interpreters = []
     for section in parser.sections():
         if not section.startswith("interpreter."):
             continue
@@ -142,7 +145,7 @@ def load_config(path: Path | str) -> RunConfig:
             for key, value in options.items()
             if key.startswith("env.")
         }
-        interpreters.append(
+        values.setdefault("interpreters", []).append(
             InterpreterSpec(
                 label=label,
                 launch_command=tuple(shlex.split(options["command"])),
@@ -150,10 +153,27 @@ def load_config(path: Path | str) -> RunConfig:
                 env=env,
             )
         )
-    if interpreters:
-        config.interpreters = interpreters
+    return values
 
-    for mode in config.modes:
-        if mode not in (MODE_RAW, MODE_CLEANED):
-            raise ConfigError(f"unknown cleaning mode {mode!r}")
-    return config
+
+def load_config(path: Path | str | None = None, **flags) -> RunConfig:
+    """Build the run configuration once: built-in defaults, then the INI file, then the flags.
+
+    ``flags`` are keyed like the ``[run]`` options (``store_path`` for
+    ``store``), plus ``interpreters``; a flag that is None or "" is not set.
+    ``modes`` is a comma-separated string from either source.
+    """
+    try:
+        values = _read_ini(path) if path else {}
+        values.update((key, value) for key, value in flags.items() if value not in (None, ""))
+        if "modes" in values:
+            values["modes"] = [m.strip() for m in values["modes"].split(",") if m.strip()]
+        budget = Budget(
+            values.pop("per_file_seconds", Budget.per_file),
+            values.pop("per_package_seconds", Budget.per_package),
+        )
+    except ConfigError:
+        raise
+    except ValueError as exc:  # an INI number or boolean that does not parse, or a budget Budget rejects
+        raise ConfigError(str(exc)) from exc
+    return RunConfig(budget=budget, **values)

@@ -430,7 +430,7 @@ def run_matrix(
             store.append_event(pid, mode, "infrastructure_failure", repr(exc))
         return outcomes
 
-    pool = ThreadPoolExecutor(max_workers=max(1, jobs))
+    pool = ThreadPoolExecutor(max_workers=jobs)
     try:
         futures = [pool.submit(run_unit, m, mode) for m, mode in units]
         for f in as_completed(futures):

@@ -502,8 +502,10 @@ def fetch_package(
 
     An authorization error anywhere marks the whole package
     ``failed`` (reason "authorization", mirroring repository-restricted
-    packages); any other per-file failure marks that entry and degrades
-    the package to ``partial``. The manifest lists every attempted file.
+    packages); so does any other failure to list its files (the reason
+    names the error), and that failure stays with this package. Any other
+    per-file failure marks that entry and degrades the package to
+    ``partial``. The manifest lists every attempted file.
     """
     pkg_dir = Path(dest) / package_slug(ref.persistent_id)
     pkg_dir.mkdir(parents=True, exist_ok=True)
@@ -514,6 +516,10 @@ def fetch_package(
     except AuthorizationError:
         manifest.fetch_status = FETCH_FAILED
         manifest.failure_reason = "authorization"
+        return manifest
+    except IngestError as exc:
+        manifest.fetch_status = FETCH_FAILED
+        manifest.failure_reason = f"file listing: {exc}"
         return manifest
 
     taken: set[str] = set()

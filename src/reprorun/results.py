@@ -174,14 +174,12 @@ def dataset_results(combined: list[CombinedResult]) -> list[DatasetResult]:
     return [aggregate_dataset(groups[key]) for key in sorted(groups)]
 
 
-def success_rate(results, level: str = "file") -> SuccessRate:
+def success_rate(results) -> SuccessRate:
     """Success rate with explicit counts; only explicit success/error verdicts count.
 
     TLE, unassigned, and excluded datasets never enter the denominator,
     matching how the source rates are computed.
     """
-    if level not in ("file", "dataset"):
-        raise ValueError(f"unknown level {level!r}")
     verdicts = [r.verdict for r in results]
     numerator = sum(1 for v in verdicts if v == VERDICT_SUCCESS)
     denominator = numerator + sum(1 for v in verdicts if v == VERDICT_ERROR)
@@ -349,8 +347,8 @@ def mode_summary(mode: str, combined: list[CombinedResult]) -> dict:
         "mode": mode,
         "file_verdicts": dict(sorted(verdict_counts.items())),
         "dataset_verdicts": dict(sorted(dataset_counts.items())),
-        "file_rate": success_rate(combined, level="file").to_dict(),
-        "dataset_rate": success_rate(datasets, level="dataset").to_dict(),
+        "file_rate": success_rate(combined).to_dict(),
+        "dataset_rate": success_rate(datasets).to_dict(),
     }
 
 

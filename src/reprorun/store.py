@@ -3,19 +3,23 @@
 One record per line. The raw log is the source of truth: every derived
 table (combined verdicts, dataset aggregates, grouped reports) is
 recomputed from it deterministically. Appends are atomic per record and
-tolerate concurrent producers; a torn final line (crash mid-write, even
-inside a multi-byte character) is reported and skipped on load instead
-of poisoning the run, and ``open`` cuts it from the file before it
-appends. Invalid UTF-8 before the final line is a StoreError. Outcome
-records are parsed into ``ExecutionOutcome`` objects on the first
-``outcomes()`` call, not on load, and kept for later calls; the latest
-record of each (package, file, interpreter, mode) wins.
+tolerate concurrent producers. A final line is whole only when it ends in
+a newline and parses; any other final line is torn (a crash mid-write,
+even inside a multi-byte character, or a record whose newline never
+reached the disk). A torn final line is reported and skipped on load
+instead of poisoning the run, and ``open`` cuts the file back to the end
+of the last whole record before it appends. Invalid UTF-8 before the
+final line is a StoreError. Outcome records are parsed into
+``ExecutionOutcome`` objects on the first ``outcomes()`` call, not on
+load, and kept for later calls; the latest record of each (package,
+file, interpreter, mode) wins.
 """
 
 from __future__ import annotations
 
 import json
 import logging
+import os
 import threading
 import uuid
 from pathlib import Path
@@ -46,6 +50,7 @@ class RunStore:
         self.path = Path(path)
         self.records: list[dict] = []
         self.truncated_tail = False
+        self.valid_end = 0  # byte offset where the last whole record ends
         self.run_id: str | None = None
         self.config: dict = {}
         self._lock = threading.Lock()
@@ -62,8 +67,7 @@ class RunStore:
             store._read()
             if store.truncated_tail:
                 # cut the torn record, so the next append starts a line of its own
-                with open(store.path, "r+b") as fh:
-                    fh.truncate(fh.read().rfind(b"\n") + 1)
+                os.truncate(store.path, store.valid_end)
         if not store.records:
             store.path.parent.mkdir(parents=True, exist_ok=True)
             store.run_id = run_id or uuid.uuid4().hex[:12]
@@ -90,23 +94,22 @@ class RunStore:
             line = data.count(b"\n", 0, exc.start) + 1
             raise StoreError(f"record at line {line} of {self.path} is not valid UTF-8") from None
         raw_lines.pop()  # "" after the last newline
-        if end < len(data):
-            try:
-                raw_lines.append(data[end:].decode("utf-8"))
-            except UnicodeDecodeError:  # torn inside a multi-byte character
-                raw_lines.append("")
+        self.truncated_tail = end < len(data)
         for i, line in enumerate(raw_lines):
             try:
                 record = json.loads(line)
             except json.JSONDecodeError:
                 if i == len(raw_lines) - 1:
                     self.truncated_tail = True
-                    log.warning("store %s: dropping torn final record", self.path)
+                    end = data.rfind(b"\n", 0, end - 1) + 1
                     break
                 raise StoreError(f"corrupt record at line {i + 1} of {self.path}") from None
             if not isinstance(record, dict):
                 raise StoreError(f"record at line {i + 1} of {self.path} is not a JSON object")
             self.records.append(record)
+        self.valid_end = end
+        if self.truncated_tail:
+            log.warning("store %s: dropping torn final record", self.path)
         for record in self.records:
             if record.get("kind") == KIND_CONFIG:
                 self.run_id = record.get("run_id")

@@ -183,8 +183,8 @@ def test_c5_cleaning_effect_pipeline(tmp_path: Path):
         raw = combined_results(outcomes, "raw")
         cleaned = combined_results(outcomes, "cleaned")
 
-        raw_rate = success_rate(raw, level="file")
-        cleaned_rate = success_rate(cleaned, level="file")
+        raw_rate = success_rate(raw)
+        cleaned_rate = success_rate(cleaned)
         assert (raw_rate.numerator, raw_rate.denominator) == (1, 4)
         assert (cleaned_rate.numerator, cleaned_rate.denominator) == (3, 4)
 

@@ -176,6 +176,55 @@ def test_run_missing_interpreter_exit_5(tmp_path: Path):
     assert code == 5
 
 
+@pytest.mark.parametrize(
+    "flags, ini, message",
+    [
+        (["--modes", "raw,Raw"], "", "unknown cleaning mode 'Raw'"),
+        (["--modes", "raw,raw"], "", "cleaning mode 'raw' listed twice"),
+        (["--modes", ","], "", "at least one cleaning mode"),
+        (["--jobs", "0"], "", "jobs must be >= 1"),
+        ([], "[run]\njobs = -2\n", "jobs must be >= 1"),
+        ([], "[run]\nmodes = raw, raw\n", "cleaning mode 'raw' listed twice"),
+        ([], "[run]\njobs = four\n", "invalid literal for int()"),
+        (["--budget-file", "10", "--budget-package", "5"], "", "need 0 < per_file <= per_package"),
+    ],
+    ids=["unknown-mode", "mode-twice", "no-mode", "jobs-0", "ini-jobs", "ini-mode-twice", "ini-jobs-text", "budget"],
+)
+def test_run_invalid_setting_exit_2_before_any_store(
+    tmp_path: Path, capsys, flags: list[str], ini: str, message: str
+):
+    make_package(tmp_path / "corpus", "pkg", {"a.R": "x <- 1\n"})
+    store_path = tmp_path / "s.jsonl"
+    argv = [
+        "run", "--corpus", str(tmp_path / "corpus"), "--store", str(store_path),
+        "--stub", "--scratch", str(tmp_path / "scratch"), *flags,
+    ]
+    if ini:
+        (tmp_path / "run.ini").write_text(ini, encoding="utf-8")
+        argv += ["--config", str(tmp_path / "run.ini")]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+    assert not store_path.exists()
+
+
+def test_run_flags_combine_with_config_file_values(tmp_path: Path):
+    make_package(tmp_path / "corpus", "pkg", {"a.R": "x <- 1\n"})
+    config = tmp_path / "run.ini"
+    config.write_text("[run]\njobs = 3\nper_file_seconds = 10\n", encoding="utf-8")
+    store_path = tmp_path / "100%" / "s.jsonl"  # flags never meet INI interpolation
+    assert main([
+        "run", "--corpus", str(tmp_path / "corpus"), "--store", str(store_path),
+        "--config", str(config), "--stub", "--modes", "raw", "--budget-package", "50", "--jobs", "2",
+        "--scratch", str(tmp_path / "scratch"),
+    ]) == 0
+    from reprorun.store import RunStore
+
+    recorded = RunStore.load(store_path).config
+    assert (recorded["per_file_seconds"], recorded["per_package_seconds"], recorded["jobs"]) == (10, 50, 2)
+    assert recorded["modes"] == ["raw"]
+
+
 def test_report_empty_store_exit_6(tmp_path: Path):
     assert main(["report", "--store", str(tmp_path / "none.jsonl"), "--out", str(tmp_path / "o")]) == 6
     from reprorun.store import RunStore

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import os
 from pathlib import Path
 
@@ -35,7 +36,6 @@ def test_load_config_full(tmp_path: Path):
     path = tmp_path / "run.ini"
     path.write_text(INI, encoding="utf-8")
     config = load_config(path)
-    assert config.api_base == "http://repo.example.org"
     assert config.jobs == 3
     assert config.budget == Budget(120, 600)
     assert config.modes == ["raw"]
@@ -90,6 +90,22 @@ def test_run_config_validation():
         RunConfig(modes=[])
 
 
+def test_flags_lay_over_the_config_file(tmp_path: Path):
+    path = tmp_path / "run.ini"
+    path.write_text(INI, encoding="utf-8")
+    config = load_config(path, jobs=5, per_package_seconds=900.0, store_path="elsewhere.jsonl", modes=None)
+    assert (config.jobs, config.budget, config.store_path) == (5, Budget(120, 900), "elsewhere.jsonl")
+    assert config.modes == ["raw"]  # a flag that is None sets nothing
+    assert load_config(path, store_path="", scratch_root="").store_path == "out/store.jsonl"  # nor does an empty one
+    assert load_config().snapshot() == RunConfig().snapshot()
+
+
+def test_run_config_is_frozen():
+    config = RunConfig()
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        config.jobs = 0
+
+
 def test_stub_interpreters_share_registry():
     specs = stub_interpreters(preinstalled="base", repo="dplyr,zoo")
     assert [s.label for s in specs] == ["R3.2", "R3.6", "R4.0"]
@@ -122,3 +138,4 @@ def test_snapshot_is_json_ready():
     json.dumps(snapshot)
     assert snapshot["per_file_seconds"] == 3600.0
     assert len(snapshot["interpreters"]) == 3
+    assert "api_base" not in snapshot and "query" not in snapshot  # run reads neither

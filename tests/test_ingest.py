@@ -231,6 +231,21 @@ def test_fetch_many_concurrent_produces_all_manifests(server, tmp_path: Path):
     assert all(m.fetch_status == "ok" for m in manifests)
 
 
+def test_failed_file_listing_fails_that_package_only(tmp_path: Path):
+    unknown = PackageRef("doi:10.5072/FK2/UNKNOWN", title="not served")
+    with MockDataverse(fixture_corpus()[:3]) as mock:
+        refs = list_packages(mock.base_url, "*", limit=3) + [unknown]
+        manifests = fetch_many(
+            refs, tmp_path, lambda: DataverseClient(mock.base_url, retries=2, backoff=0.01), jobs=2
+        )
+    assert len(manifests) == 4
+    assert sorted(m.fetch_status for m in manifests) == ["failed", "ok", "ok", "ok"]
+    (failed,) = [m for m in manifests if m.fetch_status == "failed"]
+    assert failed.ref.persistent_id == unknown.persistent_id
+    assert failed.failure_reason.startswith("file listing: ") and "404" in failed.failure_reason
+    assert failed.files == []
+
+
 def test_fetch_many_reuses_one_client_per_worker(server, tmp_path: Path):
     refs = list_packages(server.base_url, "fileName:*.R", limit=8)
     made: list[DataverseClient] = []

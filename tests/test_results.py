@@ -146,7 +146,7 @@ def test_aggregation_from_raw_outcomes_matches_brute_force(files):
 
 def test_success_rate_excludes_tle_from_denominator():
     rows = combined(["success", "success", "error", "error", "tle", "tle", "tle", "tle", "tle", "tle"])
-    rate = success_rate(rows, level="file")
+    rate = success_rate(rows)
     assert (rate.numerator, rate.denominator) == (2, 4)
     assert rate.rate == 0.5
 

@@ -87,6 +87,49 @@ def test_open_cuts_torn_tail_before_appending(tmp_path: Path):
     assert [o.file for o in loaded.outcomes()] == ["f1.R", "f2.R", "f3.R"]
 
 
+def test_open_cuts_an_unparseable_final_line_that_ends_in_newline(tmp_path: Path):
+    path = tmp_path / "s.jsonl"
+    store = RunStore.open(path)
+    store.append_outcome(outcome(1))
+    store.close()
+    with open(path, "a", encoding="utf-8") as fh:
+        fh.write('{"kind": "outc\n')
+    assert RunStore.load(path).truncated_tail
+
+    store = RunStore.open(path)
+    assert store.truncated_tail
+    store.append_event("pkg1", "raw", "completed")
+    store.close()
+    loaded = RunStore.load(path)
+    assert not loaded.truncated_tail
+    assert [o.file for o in loaded.outcomes()] == ["f1.R"]
+    assert loaded.completed_runs() == {("pkg1", "raw")}
+
+
+@pytest.mark.parametrize("n_appends", [1, 2])
+def test_open_cuts_a_record_whose_newline_never_reached_the_disk(tmp_path: Path, n_appends: int):
+    path = tmp_path / "s.jsonl"
+    store = RunStore.open(path)
+    store.append_outcome(outcome(1))
+    store.close()
+    with open(path, "a", encoding="utf-8") as fh:
+        fh.write(json.dumps({"kind": "outcome", **outcome(2).to_dict()}))  # no "\n"
+    loaded = RunStore.load(path)
+    assert loaded.truncated_tail
+    assert [o.file for o in loaded.outcomes()] == ["f1.R"]
+
+    store = RunStore.open(path)
+    assert store.truncated_tail
+    store.append_outcome(outcome(3))
+    if n_appends == 2:
+        store.append_event("pkg3", "raw", "completed")
+    store.close()
+    loaded = RunStore.load(path)
+    assert not loaded.truncated_tail
+    assert [o.file for o in loaded.outcomes()] == ["f1.R", "f3.R"]
+    assert loaded.completed_runs() == ({("pkg3", "raw")} if n_appends == 2 else set())
+
+
 def _store_torn_inside_e_acute(path: Path) -> bytes:
     """A store whose last record is cut after the first byte of a two-byte ``é``."""
     store = RunStore.open(path)
