@@ -21,6 +21,7 @@ from __future__ import annotations
 import difflib
 import re
 from dataclasses import asdict, dataclass, field
+from functools import partial
 from pathlib import Path
 
 from . import rsource
@@ -33,7 +34,10 @@ PATH_BASENAMED = "path_basenamed"
 LIBRARY_GUARDED = "library_guarded"
 MIRROR_INJECTED = "mirror_injected"
 
-_ABSOLUTE_PATH_RE = re.compile(r"^(/|~|[A-Za-z]:[/\\]|\\\\)")
+_ABSOLUTE_PATH = r"(/|~|[A-Za-z]:[/\\]|\\\\)"
+_ABSOLUTE_PATH_RE = re.compile(_ABSOLUTE_PATH)
+# a quote opening an absolute path: every line holding such a literal matches
+_ABSOLUTE_LITERAL_HINT_RE = re.compile(r"[\"']" + _ABSOLUTE_PATH)
 _REPOS_ARG_RE = re.compile(r"\brepos\s*=")
 _LOAD_CALL_RE = re.compile(r"\s*(library|require)\s*\(")
 
@@ -109,6 +113,40 @@ def _enclosing_call(line: str, idx: int) -> tuple[str, int, int] | None:
     return line[i + 1 : end + 1], i + 1, open_idx
 
 
+def _rewrite(text: str, *steps) -> tuple[str, list[CleanAction]]:
+    """Run per-line rewrite steps, in order, over the code lines of text.
+
+    A step takes (lineno, line, code, actions), where code is the line's
+    masked code, appends what it rewrites to actions and returns the
+    line. The lines are scanned once; a line is scanned again only after
+    a step has changed it. The actions come step by step, each by line.
+    """
+    lines = text.split("\n")
+    logs: list[list[CleanAction]] = [[] for _ in steps]
+    for i, line, code in rsource.code_lines(lines):
+        new = line
+        for step, log in zip(steps, logs):
+            if new != line:
+                line, code = new, rsource.masked_code(new)
+            new = step(i + 1, line, code, log)
+        lines[i] = new
+    return "\n".join(lines), [action for log in logs for action in log]
+
+
+def _setwd_step(lineno: int, line: str, code: str, actions: list[CleanAction]) -> str:
+    for _, name_start, open_idx in reversed(rsource.find_calls(code, ("setwd",))):
+        close = rsource.matching_paren(code, open_idx)
+        if close is None:
+            continue
+        before = line[name_start : close + 1]
+        after = 'setwd(".")'
+        if before == after:
+            continue
+        line = line[:name_start] + after + line[close + 1 :]
+        actions.append(CleanAction(SETWD_REWRITTEN, lineno, before, after))
+    return line
+
+
 def rewrite_setwd(text: str) -> tuple[str, list[CleanAction]]:
     """Replace every non-comment ``setwd(<anything>)`` call with ``setwd(".")``.
 
@@ -117,43 +155,21 @@ def rewrite_setwd(text: str) -> tuple[str, list[CleanAction]]:
     scripts location independent. Calls whose closing parenthesis is not
     on the same line are left alone.
     """
-    lines = text.split("\n")
-    actions: list[CleanAction] = []
-    for lineno, line in enumerate(lines, start=1):
-        if rsource.classify_line(line) != rsource.CODE:
-            continue
-        code = rsource.mask_strings(line).partition("#")[0]
-        for _, name_start, open_idx in reversed(rsource.find_calls(code, ("setwd",))):
-            close = rsource.matching_paren(code, open_idx)
-            if close is None:
-                continue
-            before = line[name_start : close + 1]
-            after = 'setwd(".")'
-            if before == after:
-                continue
-            line = line[:name_start] + after + line[close + 1 :]
-            actions.append(CleanAction(SETWD_REWRITTEN, lineno, before, after))
-        lines[lineno - 1] = line
-    return "\n".join(lines), actions
+    return _rewrite(text, _setwd_step)
 
 
-def _wrap_candidates(line: str) -> list[tuple[int, int, str]]:
-    """(start, end, text) slices on one line to wrap in basename(...), rightmost first."""
+def _paths_step(lineno: int, line: str, code: str, actions: list[CleanAction]) -> str:
+    if not _ABSOLUTE_LITERAL_HINT_RE.search(line, 0, len(code)):
+        return line  # only lines quoting an absolute path pay for the literal spans
     literals = [
         (start, end)
         for start, end in rsource.string_spans(line)
-        if end - start >= 2 and line[end - 1] == line[start]  # terminated
+        if start < len(code) and end - start >= 2 and line[end - 1] == line[start]  # terminated, not in the comment
         and _ABSOLUTE_PATH_RE.match(line[start + 1 : end - 1])
     ]
-    if not literals:
-        return []  # only lines holding an absolute-path literal pay for the mask
-    masked = rsource.mask_strings(line)
-    code_end = len(masked.partition("#")[0])
-    out: list[tuple[int, int, str]] = []
+    # rightmost first, so the indices of the literals still to come hold
     for start, end in reversed(literals):
-        if start >= code_end:
-            continue  # inside the comment
-        if masked.count("(", 0, start) - masked.count(")", 0, start) < 1:
+        if code.count("(", 0, start) - code.count(")", 0, start) < 1:
             continue  # only literals appearing as call arguments
         wrap_start, wrap_end = start, end
         enclosing = _enclosing_call(line, start)
@@ -162,7 +178,7 @@ def _wrap_candidates(line: str) -> list[tuple[int, int, str]]:
             if enc_name == "basename":
                 continue  # already wrapped
             if enc_name == "file.path":
-                enc_close = rsource.matching_paren(masked, enc_open)
+                enc_close = rsource.matching_paren(code, enc_open)
                 sole_arg = (
                     enc_close is not None
                     and line[enc_open + 1 : enc_close].strip() == line[start:end]
@@ -172,8 +188,11 @@ def _wrap_candidates(line: str) -> list[tuple[int, int, str]]:
                     if outer is not None and outer[0] == "basename":
                         continue
                     wrap_start, wrap_end = enc_start, enc_close + 1
-        out.append((wrap_start, wrap_end, line[wrap_start:wrap_end]))
-    return out
+        before = line[wrap_start:wrap_end]
+        after = f"basename({before})"
+        line = line[:wrap_start] + after + line[wrap_end:]
+        actions.append(CleanAction(PATH_BASENAMED, lineno, before, after))
+    return line
 
 
 def rewrite_paths(text: str) -> tuple[str, list[CleanAction]]:
@@ -186,23 +205,47 @@ def rewrite_paths(text: str) -> tuple[str, list[CleanAction]]:
     name is itself, so false positives are harmless. Literals already
     inside ``basename(...)`` are left alone.
     """
-    lines = text.split("\n")
-    actions: list[CleanAction] = []
-    for lineno, line in enumerate(lines, start=1):
-        if rsource.classify_line(line) != rsource.CODE:
-            continue
-        for start, end, before in _wrap_candidates(line):
-            after = f"basename({before})"
+    return _rewrite(text, _paths_step)
+
+
+def _library_step(lineno: int, line: str, code: str, actions: list[CleanAction], mirror: str) -> str:
+    if not re.search(r"!\s*require\b", code):
+        replacements: list[tuple[int, int, str, str]] = []
+        for start, end in rsource.split_statements(code):
+            m = _LOAD_CALL_RE.match(line, start, end)
+            if not m:
+                continue
+            call_start = m.start(1)
+            open_idx = m.end() - 1
+            close = rsource.matching_paren(code, open_idx)
+            if close is None or close >= end:
+                continue
+            if line[close + 1 : end].strip():
+                continue  # call is not the whole statement
+            arg_end = rsource.first_argument_end(code, open_idx + 1, close)
+            pkg = rsource.package_name(line[open_idx + 1 : arg_end])
+            if pkg is None:
+                continue
+            original = line[call_start : close + 1]
+            guard = f'if (!require("{pkg}")) install.packages("{pkg}", repos="{mirror}"); {original}'
+            replacements.append((call_start, close + 1, original, guard))
+        for start, end, before, after in reversed(replacements):
             line = line[:start] + after + line[end:]
-            actions.append(CleanAction(PATH_BASENAMED, lineno, before, after))
-        lines[lineno - 1] = line
-    return "\n".join(lines), actions
+            actions.append(CleanAction(LIBRARY_GUARDED, lineno, before, after))
+        if replacements:
+            code = rsource.masked_code(line)
 
-
-def _guard_for(pkg: str, original_call: str, mirror: str) -> str:
-    return (
-        f'if (!require("{pkg}")) install.packages("{pkg}", repos="{mirror}"); {original_call}'
-    )
+    for _, name_start, open_idx in reversed(rsource.find_calls(code, ("install.packages",))):
+        close = rsource.matching_paren(code, open_idx)
+        if close is None:
+            continue
+        if _REPOS_ARG_RE.search(code, open_idx + 1, close):
+            continue
+        before = line[name_start : close + 1]
+        injected = f', repos="{mirror}"' if line[open_idx + 1 : close].strip() else f'repos="{mirror}"'
+        line = line[:close] + injected + line[close:]
+        actions.append(CleanAction(MIRROR_INJECTED, lineno, before, line[name_start : close + 1 + len(injected)]))
+    return line
 
 
 def rewrite_library_loads(text: str, mirror: str = DEFAULT_CRAN_MIRROR) -> tuple[str, list[CleanAction]]:
@@ -215,51 +258,7 @@ def rewrite_library_loads(text: str, mirror: str = DEFAULT_CRAN_MIRROR) -> tuple
     left alone. Independently, any ``install.packages(...)`` call that
     names no ``repos`` argument gets the mirror injected, exactly once.
     """
-    lines = text.split("\n")
-    actions: list[CleanAction] = []
-    for lineno, line in enumerate(lines, start=1):
-        if rsource.classify_line(line) != rsource.CODE:
-            continue
-        code = rsource.mask_strings(line).partition("#")[0]
-
-        if not re.search(r"!\s*require\b", code):
-            replacements: list[tuple[int, int, str, str]] = []
-            for start, end in rsource.split_statements(code):
-                m = _LOAD_CALL_RE.match(line, start, end)
-                if not m:
-                    continue
-                call_start = m.start(1)
-                open_idx = m.end() - 1
-                close = rsource.matching_paren(code, open_idx)
-                if close is None or close >= end:
-                    continue
-                if line[close + 1 : end].strip():
-                    continue  # call is not the whole statement
-                arg_end = rsource.first_argument_end(code, open_idx + 1, close)
-                pkg = rsource.package_name(line[open_idx + 1 : arg_end])
-                if pkg is None:
-                    continue
-                original = line[call_start : close + 1]
-                replacements.append((call_start, close + 1, original, _guard_for(pkg, original, mirror)))
-            for start, end, before, after in reversed(replacements):
-                line = line[:start] + after + line[end:]
-                actions.append(CleanAction(LIBRARY_GUARDED, lineno, before, after))
-            if replacements:
-                code = rsource.mask_strings(line).partition("#")[0]
-
-        for _, name_start, open_idx in reversed(rsource.find_calls(code, ("install.packages",))):
-            close = rsource.matching_paren(code, open_idx)
-            if close is None:
-                continue
-            if _REPOS_ARG_RE.search(code, open_idx + 1, close):
-                continue
-            before = line[name_start : close + 1]
-            injected = f', repos="{mirror}"' if line[open_idx + 1 : close].strip() else f'repos="{mirror}"'
-            line = line[:close] + injected + line[close:]
-            actions.append(CleanAction(MIRROR_INJECTED, lineno, before, line[name_start : close + 1 + len(injected)]))
-
-        lines[lineno - 1] = line
-    return "\n".join(lines), actions
+    return _rewrite(text, partial(_library_step, mirror=mirror))
 
 
 def _encoding_actions(raw: bytes, normalized: str) -> list[CleanAction]:
@@ -276,10 +275,8 @@ def clean_text(raw: bytes, mirror: str = DEFAULT_CRAN_MIRROR) -> tuple[str, list
     """Run the full cleaning pipeline on raw script bytes."""
     text, was_ascii = normalize_encoding(raw)
     actions = _encoding_actions(raw, text)
-    text, setwd_actions = rewrite_setwd(text)
-    text, path_actions = rewrite_paths(text)
-    text, lib_actions = rewrite_library_loads(text, mirror)
-    return text, actions + setwd_actions + path_actions + lib_actions, was_ascii
+    text, rewrites = _rewrite(text, _setwd_step, _paths_step, partial(_library_step, mirror=mirror))
+    return text, actions + rewrites, was_ascii
 
 
 def clean_file(path: Path | str, out_dir: Path | str, mirror: str = DEFAULT_CRAN_MIRROR) -> CleanReport:

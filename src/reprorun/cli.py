@@ -116,7 +116,10 @@ def _parse_kv(pairs: list[str]) -> dict:
 def _load_metadata_file(path: str | None) -> dict:
     if not path:
         return {}
-    data = json.loads(Path(path).read_text(encoding="utf-8"))
+    try:
+        data = json.loads(Path(path).read_text(encoding="utf-8"))
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"cannot read metadata file {path}: {exc}") from exc
     if not isinstance(data, dict):
         raise ConfigError("metadata file must map package ids to metadata objects")
     return data

@@ -120,9 +120,12 @@ _RUN_OPTIONS = {
 
 def _read_ini(path: Path | str) -> dict:
     """Option values of the ``[run]`` and ``[interpreter.*]`` sections, keyed as ``load_config`` flags."""
-    parser = configparser.ConfigParser()
+    parser = configparser.ConfigParser(interpolation=None)  # a '%' in a path is literal
     parser.optionxform = str  # preserve case for env overlay keys
-    read = parser.read(str(path))
+    try:
+        read = parser.read(str(path))
+    except configparser.Error as exc:
+        raise ConfigError(f"cannot parse config file {path}: {exc}") from exc
     if not read:
         raise ConfigError(f"cannot read config file {path}")
 

@@ -12,6 +12,8 @@ from __future__ import annotations
 import os
 import re
 import statistics
+from collections import Counter
+from collections.abc import Iterator
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
@@ -55,10 +57,6 @@ class FileMetrics:
     detected_encoding: str = "ascii"
     dependency_scan_skips: int = 0
 
-    @property
-    def total_lines(self) -> int:
-        return self.code_lines + self.comment_lines + self.blank_lines
-
     def to_dict(self) -> dict:
         return asdict(self)
 
@@ -82,18 +80,9 @@ class PackageCensus:
 
     def to_dict(self) -> dict:
         return {
-            "package_id": self.package_id,
-            "total_size": self.total_size,
-            "file_count": self.file_count,
+            **asdict(self),
             "other_languages": sorted(self.other_languages),
-            "has_rmd": self.has_rmd,
-            "has_rnw": self.has_rnw,
-            "has_documentation": self.has_documentation,
-            "documentation_files": self.documentation_files,
             "encoding_histogram": dict(sorted(self.encoding_histogram.items())),
-            "filenames_with_spaces": self.filenames_with_spaces,
-            "filename_length_stats": self.filename_length_stats,
-            "config_file_candidates": self.config_file_candidates,
         }
 
 
@@ -116,6 +105,22 @@ def detect_encoding(data: bytes) -> str:
     return "iso-8859-1"
 
 
+def _load_call_packages(line: str, code: str) -> Iterator[str | None]:
+    """The package each library/require/install.packages call on a code line names, None where unreadable."""
+    for _, _, open_idx in rsource.find_calls(code, _DEPENDENCY_CALLS):
+        close = rsource.matching_paren(code, open_idx)
+        if close is None:
+            yield None
+            continue
+        arg_end = rsource.first_argument_end(code, open_idx + 1, close)
+        yield rsource.package_name(line[open_idx + 1 : arg_end])
+
+
+def _dependency_summary(packages: list[str | None]) -> tuple[list[str], int]:
+    """First-seen-ordered distinct names, plus the count of unreadable call sites."""
+    return list(dict.fromkeys(name for name in packages if name is not None)), packages.count(None)
+
+
 def scan_dependencies(source: str) -> tuple[list[str], int]:
     """Library names loaded or installed by the source, plus skipped call sites.
 
@@ -125,59 +130,29 @@ def scan_dependencies(source: str) -> tuple[list[str], int]:
     first argument is not a plain name (vectors, expressions, calls that
     do not close on the same line) are skipped and counted.
     """
-    names: list[str] = []
-    seen: set[str] = set()
-    skipped = 0
-    for line in rsource.split_lines(source):
-        if rsource.classify_line(line) != rsource.CODE:
-            continue
-        code = rsource.mask_strings(line).partition("#")[0]
-        for _, _, open_idx in rsource.find_calls(code, _DEPENDENCY_CALLS):
-            close = rsource.matching_paren(code, open_idx)
-            if close is None:
-                skipped += 1
-                continue
-            arg_end = rsource.first_argument_end(code, open_idx + 1, close)
-            name = rsource.package_name(line[open_idx + 1 : arg_end])
-            if name is None:
-                skipped += 1
-                continue
-            if name not in seen:
-                seen.add(name)
-                names.append(name)
-    return names, skipped
-
-
-def detect_dependencies(source: str) -> list[str]:
-    """Deduplicated, first-seen-ordered library names referenced by the source."""
-    return scan_dependencies(source)[0]
+    packages: list[str | None] = []
+    for _, line, code in rsource.code_lines(rsource.split_lines(source)):
+        packages.extend(_load_call_packages(line, code))
+    return _dependency_summary(packages)
 
 
 def _statement_level_eq_targets(masked: str) -> list[str]:
     """Left-hand identifiers of top-level '=' assignments in masked code."""
     targets = []
-    depth = 0
-    for i, ch in enumerate(masked):
-        if ch in "([{":
-            depth += 1
-        elif ch in ")]}":
-            depth -= 1
-        elif ch == "=" and depth <= 0:
-            if i + 1 < len(masked) and masked[i + 1] == "=":
-                continue
-            if i > 0 and masked[i - 1] in "=!<>":
-                continue
-            j = i - 1
-            while j >= 0 and masked[j] in " \t":
-                j -= 1
-            end = j
-            while j >= 0 and masked[j] in rsource._IDENT_CHARS:
-                j -= 1
-            name = masked[j + 1 : end + 1]
-            if j >= 0 and masked[j] in "$@":
-                continue
-            if name and not name[0].isdigit() and name[0] != "_":
-                targets.append(name)
+    for _, i in rsource.split_statements(masked, "=")[:-1]:
+        if masked[i + 1 : i + 2] == "=" or (i > 0 and masked[i - 1] in "=!<>"):
+            continue
+        j = i - 1
+        while j >= 0 and masked[j] in " \t":
+            j -= 1
+        end = j
+        while j >= 0 and masked[j] in rsource._IDENT_CHARS:
+            j -= 1
+        name = masked[j + 1 : end + 1]
+        if j >= 0 and masked[j] in "$@":
+            continue
+        if name and not name[0].isdigit() and name[0] != "_":
+            targets.append(name)
     return targets
 
 
@@ -198,21 +173,18 @@ def analyze_r_file(path: Path | str, package_id: str | None = None) -> FileMetri
     metrics.detected_encoding = detect_encoding(raw)
     text = rsource.decode_best_effort(raw)
 
+    kinds: Counter = Counter()
     variables: list[str] = []
-    for line in rsource.split_lines(text):
-        kind = rsource.classify_line(line)
-        if kind == rsource.BLANK:
-            metrics.blank_lines += 1
-            continue
-        if kind == rsource.COMMENT:
-            metrics.comment_lines += 1
-            continue
-        metrics.code_lines += 1
-        masked = rsource.mask_strings(line).partition("#")[0]
-        metrics.function_count += len(_FUNCTION_DEF_RE.findall(masked))
-        metrics.class_count += len(rsource.find_calls(masked, _CLASS_CALLS))
-        variables.extend(_ARROW_ASSIGN_RE.findall(masked))
-        variables.extend(_statement_level_eq_targets(masked))
+    packages: list[str | None] = []
+    for _, line, code in rsource.code_lines(rsource.split_lines(text), kinds):
+        metrics.function_count += len(_FUNCTION_DEF_RE.findall(code))
+        metrics.class_count += len(rsource.find_calls(code, _CLASS_CALLS))
+        variables.extend(_ARROW_ASSIGN_RE.findall(code))
+        variables.extend(_statement_level_eq_targets(code))
+        packages.extend(_load_call_packages(line, code))
+    metrics.code_lines = kinds[rsource.CODE]
+    metrics.comment_lines = kinds[rsource.COMMENT]
+    metrics.blank_lines = kinds[rsource.BLANK]
 
     metrics.variable_names = list(dict.fromkeys(variables))
     if metrics.variable_names:
@@ -221,7 +193,7 @@ def analyze_r_file(path: Path | str, package_id: str | None = None) -> FileMetri
         )
     if metrics.comment_lines > 0:
         metrics.code_to_comment_ratio = metrics.code_lines / metrics.comment_lines
-    metrics.dependencies, metrics.dependency_scan_skips = scan_dependencies(text)
+    metrics.dependencies, metrics.dependency_scan_skips = _dependency_summary(packages)
     return metrics
 
 

@@ -5,20 +5,23 @@ R grammar: one compiled regex finds single- and double-quoted string
 literals with backslash escapes on a single physical line, and nothing
 else in the package knows about R quoting.
 
-Callers scan each line once, with ``mask_strings``, and hand the masked
-line to every other helper. The masked line has each string literal,
-quotes included, blanked to spaces and keeps every index, so any ``(``,
-``)``, ``#``, ``,`` or ``;`` left in it is code: its first ``#`` starts
-the comment, and the helpers return indices that callers use to slice
-the original line. Limits: a literal never continues onto the next
-line, an unterminated literal runs to the end of its line, and
-backticked names and R >= 4.0 raw strings (``r"(...)"``) are not
-tracked, so a quote or ``#`` inside one misreads the rest of the line.
+``code_lines`` is the one entry point for code lines: it scans each code
+line once and yields it with its masked code, which every other helper
+reads. The masked line has each string literal, quotes included, blanked
+to spaces and keeps every index, so any ``(``, ``)``, ``#``, ``,`` or
+``;`` left in it is code: its first ``#`` starts the comment, and the
+helpers return indices that callers use to slice the original line.
+Limits: a literal never continues onto the next line, an unterminated
+literal runs to the end of its line, and backticked names and R >= 4.0
+raw strings (``r"(...)"``) are not tracked, so a quote or ``#`` inside
+one misreads the rest of the line.
 """
 
 from __future__ import annotations
 
 import re
+from collections import Counter
+from collections.abc import Iterable, Iterator
 
 CODE = "code"
 COMMENT = "comment"
@@ -42,7 +45,7 @@ _STRING_RE = re.compile(
     r""""[^"\\]*(?:\\.[^"\\]*)*(?:"|\\)?|'[^'\\]*(?:\\.[^'\\]*)*(?:'|\\)?""", re.DOTALL
 )
 _PAREN_RE = re.compile(r"[()]")
-_NESTING_RE = re.compile(r"[()\[\]{};,]")
+_NESTING_RE = re.compile(r"[()\[\]{};,=]")
 
 
 def decode_best_effort(raw: bytes) -> str:
@@ -89,6 +92,24 @@ def classify_line(line: str) -> str:
     if stripped.startswith("#"):
         return COMMENT
     return CODE
+
+
+def masked_code(line: str) -> str:
+    """The string-masked text of a line before its comment, with the line's indices."""
+    return mask_strings(line).partition("#")[0]
+
+
+def code_lines(lines: Iterable[str], kinds: Counter | None = None) -> Iterator[tuple[int, str, str]]:
+    """Yield (index, line, masked_code(line)) for each code line, scanning it once.
+
+    ``kinds``, when given, counts every line's kind (code, comment, blank).
+    """
+    for i, line in enumerate(lines):
+        kind = classify_line(line)
+        if kinds is not None:
+            kinds[kind] += 1
+        if kind == CODE:
+            yield i, line, masked_code(line)
 
 
 def find_calls(masked: str, names: tuple[str, ...] | list[str]) -> list[tuple[str, int, int]]:
@@ -148,8 +169,8 @@ def first_argument_end(masked: str, start: int, end: int) -> int:
     return end
 
 
-def split_statements(masked: str) -> list[tuple[int, int]]:
-    """Split a masked code portion at top-level ';' into [start, end) spans.
+def split_statements(masked: str, sep: str = ";") -> list[tuple[int, int]]:
+    """Split masked code at each top-level sep (``;``, ``,`` or ``=``) into [start, end) spans.
 
     Top-level means outside any brackets, so the ';' in a generated
     one-line guard separates statements while a ';' inside a call
@@ -164,7 +185,7 @@ def split_statements(masked: str) -> list[tuple[int, int]]:
             depth += 1
         elif ch in ")]}":
             depth -= 1
-        elif ch == ";" and depth <= 0:
+        elif ch == sep and depth <= 0:
             spans.append((seg_start, m.start()))
             seg_start = m.end()
     spans.append((seg_start, len(masked)))

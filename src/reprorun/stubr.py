@@ -218,10 +218,7 @@ class StubSession:
         with open(script_path, "rb") as fh:
             text = rsource.decode_best_effort(fh.read())
         try:
-            for line in rsource.split_lines(text):
-                if rsource.classify_line(line) != rsource.CODE:
-                    continue
-                code = rsource.mask_strings(line).partition("#")[0]
+            for _, line, code in rsource.code_lines(rsource.split_lines(text)):
                 for start, end in rsource.split_statements(code):
                     self.execute(line[start:end], code[start:end])
         except Halt as halt:

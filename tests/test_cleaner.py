@@ -329,3 +329,31 @@ def test_comment_lines_never_rewritten(lines):
             assert before == after
     for action in actions:
         assert not original_lines[action.line - 1].lstrip().startswith("#")
+
+
+# clean_text runs the three rewrites in one loop over the lines; it must equal running them one after the other.
+# Fragments put ')', quotes and absolute paths behind a '#' as well as before it.
+_fragment = st.sampled_from(
+    [
+        "setwd(", "library(", "require(", "install.packages(", "file.path(", "basename(", "read.csv(",
+        "if (!require(", '"/abs/a.csv"', "'~/b'", '"C:/c"', '"rel"', "pkg", "x <- ", ")", "(", "#", ";",
+        ", ", '"', "'", 'repos="m"', " ",
+    ]
+)
+_fragment_line = st.lists(_fragment, max_size=10).map("".join)
+_trailing_comment_line = st.sampled_from(
+    [
+        'read.csv(file.path("/abs/a.csv" # )',
+        'x <- read.csv("/abs/a.csv") # it\'s "here" )',
+        'setwd("/w"); library(zoo) # (")',
+    ]
+)
+
+
+@given(st.lists(st.one_of(_line, _fragment_line, _trailing_comment_line), max_size=12))
+def test_clean_text_equals_the_three_rewrites_in_sequence(lines):
+    raw = "\n".join(lines).encode()
+    text, setwd_actions = rewrite_setwd(normalize_encoding(raw)[0])
+    text, path_actions = rewrite_paths(text)
+    text, lib_actions = rewrite_library_loads(text, MIRROR)
+    assert clean_text(raw, MIRROR)[:2] == (text, setwd_actions + path_actions + lib_actions)

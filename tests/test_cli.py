@@ -187,8 +187,12 @@ def test_run_missing_interpreter_exit_5(tmp_path: Path):
         ([], "[run]\nmodes = raw, raw\n", "cleaning mode 'raw' listed twice"),
         ([], "[run]\njobs = four\n", "invalid literal for int()"),
         (["--budget-file", "10", "--budget-package", "5"], "", "need 0 < per_file <= per_package"),
+        ([], "jobs = 3\n", "no section headers"),
     ],
-    ids=["unknown-mode", "mode-twice", "no-mode", "jobs-0", "ini-jobs", "ini-mode-twice", "ini-jobs-text", "budget"],
+    ids=[
+        "unknown-mode", "mode-twice", "no-mode", "jobs-0", "ini-jobs", "ini-mode-twice", "ini-jobs-text", "budget",
+        "ini-no-section",
+    ],
 )
 def test_run_invalid_setting_exit_2_before_any_store(
     tmp_path: Path, capsys, flags: list[str], ini: str, message: str
@@ -248,6 +252,28 @@ def test_report_invalid_utf8_record_exit_6(tmp_path: Path, capsys):
     assert main(["report", "--store", str(store_path), "--out", str(tmp_path / "o")]) == 6
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "line 1" in err and "UTF-8" in err
+    assert "Traceback" not in err
+
+
+def test_malformed_metadata_file_exit_2(tmp_path: Path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_text("{bad", encoding="utf-8")
+    make_package(tmp_path / "sources", "pkg", {"a.R": "x <- 1\n"})
+    assert main([
+        "ingest", "--dest", str(tmp_path / "corpus"), "--local", str(tmp_path / "sources" / "pkg"),
+        "--metadata-file", str(bad),
+    ]) == 2
+    from reprorun.executor import ExecutionOutcome
+    from reprorun.store import RunStore
+
+    store = RunStore.open(tmp_path / "s.jsonl")
+    store.append_outcome(ExecutionOutcome("p", "a.R", "R1", "raw", "success"))
+    store.close()
+    assert main([
+        "report", "--store", str(tmp_path / "s.jsonl"), "--out", str(tmp_path / "o"), "--metadata-file", str(bad),
+    ]) == 2
+    err = capsys.readouterr().err
+    assert err.count("cannot read metadata file") == 2
     assert "Traceback" not in err
 
 

@@ -78,6 +78,19 @@ def test_invalid_budget_rejected(tmp_path: Path):
         load_config(path)
 
 
+def test_percent_in_ini_value_is_literal(tmp_path: Path):
+    path = tmp_path / "run.ini"
+    path.write_text("[run]\nstore = runs/100%/s.jsonl\n", encoding="utf-8")
+    assert load_config(path).store_path == "runs/100%/s.jsonl"
+
+
+def test_ini_without_section_header_is_config_error(tmp_path: Path):
+    path = tmp_path / "bad.ini"
+    path.write_text("jobs = 3\n", encoding="utf-8")
+    with pytest.raises(ConfigError, match="no section headers"):
+        load_config(path)
+
+
 def test_missing_config_file(tmp_path: Path):
     with pytest.raises(ConfigError):
         load_config(tmp_path / "absent.ini")

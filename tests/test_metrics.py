@@ -4,16 +4,18 @@ import re
 import statistics
 from pathlib import Path
 
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from reprorun import cli, results
 from reprorun.cleaner import normalize_encoding
 from reprorun.metrics import (
+    PackageCensus,
+    _statement_level_eq_targets,
     analyze_package,
     analyze_r_file,
     census,
     corpus_stats,
-    detect_dependencies,
     detect_encoding,
     scan_dependencies,
 )
@@ -48,7 +50,7 @@ def write_r(tmp_path: Path, name: str, content: str | bytes) -> Path:
 def test_hand_counted_line_partition_and_ratio(tmp_path: Path):
     fm = analyze_r_file(write_r(tmp_path, "fix.R", TEN_LINE_FIXTURE))
     assert (fm.code_lines, fm.comment_lines, fm.blank_lines) == (8, 2, 0)
-    assert fm.total_lines == 10
+    assert fm.code_lines + fm.comment_lines + fm.blank_lines == 10
     assert fm.code_to_comment_ratio == 4.0
     assert fm.dependencies == ["ggplot2", "MASS"]
     assert fm.variable_names == ["x", "y", "fit", "z"]
@@ -132,23 +134,23 @@ def test_detect_encoding_ladder():
 
 
 def test_quoted_and_bare_forms():
-    assert detect_dependencies('library("dplyr")') == ["dplyr"]
-    assert detect_dependencies("library(dplyr)") == ["dplyr"]
-    assert detect_dependencies("require('MASS')") == ["MASS"]
+    assert scan_dependencies('library("dplyr")')[0] == ["dplyr"]
+    assert scan_dependencies("library(dplyr)")[0] == ["dplyr"]
+    assert scan_dependencies("require('MASS')")[0] == ["MASS"]
 
 
 def test_comment_occurrences_ignored():
-    assert detect_dependencies("# library(fake)") == []
-    assert detect_dependencies("x <- 1 # install.packages('fake')") == []
+    assert scan_dependencies("# library(fake)")[0] == []
+    assert scan_dependencies("x <- 1 # install.packages('fake')")[0] == []
 
 
 def test_string_occurrences_ignored():
-    assert detect_dependencies('msg <- "library(fake)"') == []
+    assert scan_dependencies('msg <- "library(fake)"')[0] == []
 
 
 def test_dedup_preserves_first_seen_order():
     source = "library(b)\nlibrary(a)\nrequire(b)\n"
-    assert detect_dependencies(source) == ["b", "a"]
+    assert scan_dependencies(source)[0] == ["b", "a"]
 
 
 def test_unparseable_sites_counted():
@@ -188,14 +190,14 @@ def _reference_dependency_scan(source: str) -> list[str]:
 def test_six_calls_three_styles_cross_checked():
     expected = _reference_dependency_scan(SIX_CALL_FIXTURE)
     assert len(expected) == 6
-    assert detect_dependencies(SIX_CALL_FIXTURE) == expected
+    assert scan_dependencies(SIX_CALL_FIXTURE)[0] == expected
 
 
 @given(st.text(alphabet="abcx()<-#\"'\n ;.", max_size=200), st.text(alphabet="abcx()<-\n ;.", max_size=80))
 def test_dependency_monotonicity_under_append(source, suffix):
     # appended text holds no comment markers, so it cannot hide earlier lines
-    base = detect_dependencies(source)
-    extended = detect_dependencies(source + suffix)
+    base = scan_dependencies(source)[0]
+    extended = scan_dependencies(source + suffix)[0]
     assert set(base) <= set(extended)
 
 
@@ -210,6 +212,40 @@ def test_line_classification_is_a_partition(text):
     assert all(kind in ("code", "comment", "blank") for kind in kinds)
 
 
+def oracle_eq_targets(masked: str) -> list[str]:
+    """The character loop ``_statement_level_eq_targets`` replaced, kept as its oracle."""
+    targets = []
+    depth = 0
+    for i, ch in enumerate(masked):
+        if ch in "([{":
+            depth += 1
+        elif ch in ")]}":
+            depth -= 1
+        elif ch == "=" and depth <= 0:
+            if i + 1 < len(masked) and masked[i + 1] == "=":
+                continue
+            if i > 0 and masked[i - 1] in "=!<>":
+                continue
+            j = i - 1
+            while j >= 0 and masked[j] in " \t":
+                j -= 1
+            end = j
+            while j >= 0 and masked[j] in rsource._IDENT_CHARS:
+                j -= 1
+            name = masked[j + 1 : end + 1]
+            if j >= 0 and masked[j] in "$@":
+                continue
+            if name and not name[0].isdigit() and name[0] != "_":
+                targets.append(name)
+    return targets
+
+
+@settings(max_examples=400)
+@given(st.text(alphabet=list("()[]{}=!<>$@;, \tax_.1"), max_size=60))
+def test_eq_targets_match_character_loop_oracle(masked):
+    assert _statement_level_eq_targets(masked) == oracle_eq_targets(masked)
+
+
 def test_census_pure_function_of_directory(tmp_path: Path):
     manifest = make_package(tmp_path, "pkg", {"a.R": "x <- 1\n", "b.csv": "1,2\n"})
     first = census(manifest)
@@ -218,6 +254,30 @@ def test_census_pure_function_of_directory(tmp_path: Path):
 
 
 # --- census -----------------------------------------------------------------------
+
+
+def test_census_serialized_bytes(tmp_path: Path):
+    c = PackageCensus(
+        package_id="doi:10/x", total_size=30, file_count=3, other_languages={"stata", "python"},
+        has_rmd=True, has_documentation=True, documentation_files=["README.md"],
+        encoding_histogram={"utf-8": 1, "ascii": 2}, filenames_with_spaces=1,
+        filename_length_stats={"min": 1, "mean": 2.5, "median": 2.5, "max": 4}, config_file_candidates=["install.R"],
+    )
+    assert results.render_json([c.to_dict()]) == (
+        '[\n  {\n    "config_file_candidates": [\n      "install.R"\n    ],\n    "documentation_files": [\n'
+        '      "README.md"\n    ],\n    "encoding_histogram": {\n      "ascii": 2,\n      "utf-8": 1\n    },\n'
+        '    "file_count": 3,\n    "filename_length_stats": {\n      "max": 4,\n      "mean": 2.5,\n'
+        '      "median": 2.5,\n      "min": 1\n    },\n    "filenames_with_spaces": 1,\n'
+        '    "has_documentation": true,\n    "has_rmd": true,\n    "has_rnw": false,\n    "other_languages": [\n'
+        '      "python",\n      "stata"\n    ],\n    "package_id": "doi:10/x",\n    "total_size": 30\n  }\n]\n'
+    )
+    cli._write_table([c.to_dict()], tmp_path / "package_census", "csv")
+    assert (tmp_path / "package_census.csv").read_bytes() == (
+        b"package_id,total_size,file_count,other_languages,has_rmd,has_rnw,has_documentation,documentation_files,"
+        b"encoding_histogram,filenames_with_spaces,filename_length_stats,config_file_candidates\n"
+        b'doi:10/x,30,3,python;stata,True,False,True,README.md,"{""ascii"": 2, ""utf-8"": 1}",1,'
+        b'"{""max"": 4, ""mean"": 2.5, ""median"": 2.5, ""min"": 1}",install.R\n'
+    )
 
 
 def test_census_documentation_and_languages(tmp_path: Path):

@@ -3,15 +3,19 @@
 The loop-based ``string_spans``, ``comment_start`` and ``split_statements``
 below are kept only as the oracle: on any line, the masked-line helpers
 must give the same literal spans, mask, comment start and statement
-offsets.
+offsets. The scan-count tests check that the cleaner and the metrics
+scan each code line once.
 """
 
 from __future__ import annotations
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from reprorun import rsource
+from reprorun.cleaner import clean_text
+from reprorun.metrics import analyze_r_file
 
 
 def oracle_string_spans(line: str) -> list[tuple[int, int]]:
@@ -93,3 +97,40 @@ def test_unterminated_and_trailing_backslash_literals_run_to_line_end():
     assert rsource.string_spans('x <- "a\\"b') == [(5, 10)]
     assert rsource.string_spans("f('a\\") == [(2, 5)]
     assert rsource.mask_strings('a("#") # c') == 'a(   ) # c'
+
+
+# N code lines that no rewrite touches, with quotes, '#' and ')' in strings and comments.
+UNTOUCHED_CODE_LINES = [
+    'x <- read.csv("data/in.csv")  # not "/abs" )',
+    "f <- function(a = 1, b = '#') a + b",
+    'setwd(".")',
+    'if (!require("zoo")) install.packages("zoo", repos="m"); library(zoo)',
+    "y = c(1, 2)[x == 2]; print(y) # it's (",
+    'msg <- paste("library(fake)", \'#\')',
+]
+UNTOUCHED_SOURCE = "# header\n\n" + "\n".join(UNTOUCHED_CODE_LINES) + "\n  # trailer \"q\n"
+
+
+@pytest.fixture
+def scans(monkeypatch) -> list[str]:
+    """Names of the rsource string scans made while the test runs, one entry per call."""
+    calls: list[str] = []
+    for name in ("mask_strings", "string_spans"):
+        def counted(line, _real=getattr(rsource, name), _name=name):
+            calls.append(_name)
+            return _real(line)
+
+        monkeypatch.setattr(rsource, name, counted)
+    return calls
+
+
+def test_analyze_scans_each_code_line_once(tmp_path, scans):
+    path = tmp_path / "a.R"
+    path.write_text(UNTOUCHED_SOURCE, encoding="utf-8")
+    assert analyze_r_file(path).code_lines == len(UNTOUCHED_CODE_LINES)
+    assert len(scans) == len(UNTOUCHED_CODE_LINES)
+
+
+def test_clean_scans_each_unrewritten_code_line_once(scans):
+    assert clean_text(UNTOUCHED_SOURCE.encode())[:2] == (UNTOUCHED_SOURCE, [])
+    assert len(scans) == len(UNTOUCHED_CODE_LINES)
