@@ -40,6 +40,7 @@ _ABSOLUTE_PATH_RE = re.compile(_ABSOLUTE_PATH)
 _ABSOLUTE_LITERAL_HINT_RE = re.compile(r"[\"']" + _ABSOLUTE_PATH)
 _REPOS_ARG_RE = re.compile(r"\brepos\s*=")
 _LOAD_CALL_RE = re.compile(r"\s*(library|require)\s*\(")
+_NON_ASCII_RE = re.compile(r"[^\x00-\x7f]")
 
 
 @dataclass(frozen=True)
@@ -69,11 +70,11 @@ class CleanReport:
         return asdict(self)
 
 
-class CleanWriteError(OSError):
-    """Raised when the cleaned output could not be written."""
-
-
-_decode = rsource.decode_best_effort
+def _to_ascii(decoded: str) -> tuple[str, bool]:
+    """Decoded text with every non-ASCII character as ``?``, and whether it was ASCII already."""
+    if decoded.isascii():
+        return decoded, True
+    return _NON_ASCII_RE.sub("?", decoded), False
 
 
 def normalize_encoding(raw: bytes) -> tuple[str, bool]:
@@ -83,11 +84,7 @@ def normalize_encoding(raw: bytes) -> tuple[str, bool]:
     every resulting non-ASCII character becomes ``?``. Total function:
     any byte sequence yields a result.
     """
-    was_ascii = raw.isascii()
-    text = _decode(raw)
-    if not was_ascii:
-        text = text.encode("ascii", "replace").decode("ascii")
-    return text, was_ascii
+    return _to_ascii(rsource.decode(raw)[0])
 
 
 def _enclosing_call(line: str, idx: int) -> tuple[str, int, int] | None:
@@ -261,60 +258,62 @@ def rewrite_library_loads(text: str, mirror: str = DEFAULT_CRAN_MIRROR) -> tuple
     return _rewrite(text, partial(_library_step, mirror=mirror))
 
 
-def _encoding_actions(raw: bytes, normalized: str) -> list[CleanAction]:
-    decoded_lines = _decode(raw).split("\n")
-    normalized_lines = normalized.split("\n")
-    return [
+def _clean(decoded: str, mirror: str) -> tuple[str, list[CleanAction], bool]:
+    """The cleaned text, action log and ASCII flag of decoded source text."""
+    text, was_ascii = _to_ascii(decoded)
+    actions = [] if was_ascii else [
         CleanAction(ENCODING_NORMALIZED, i, before, after)
-        for i, (before, after) in enumerate(zip(decoded_lines, normalized_lines), start=1)
+        for i, (before, after) in enumerate(zip(decoded.split("\n"), text.split("\n")), start=1)
         if before != after
     ]
-
-
-def clean_text(raw: bytes, mirror: str = DEFAULT_CRAN_MIRROR) -> tuple[str, list[CleanAction], bool]:
-    """Run the full cleaning pipeline on raw script bytes."""
-    text, was_ascii = normalize_encoding(raw)
-    actions = _encoding_actions(raw, text)
     text, rewrites = _rewrite(text, _setwd_step, _paths_step, partial(_library_step, mirror=mirror))
     return text, actions + rewrites, was_ascii
 
 
-def clean_file(path: Path | str, out_dir: Path | str, mirror: str = DEFAULT_CRAN_MIRROR) -> CleanReport:
+def clean_text(raw: bytes, mirror: str = DEFAULT_CRAN_MIRROR) -> tuple[str, list[CleanAction], bool]:
+    """Run the full cleaning pipeline on raw script bytes."""
+    return _clean(rsource.decode(raw)[0], mirror)
+
+
+def clean_file(
+    path: Path | str, out_dir: Path | str, mirror: str = DEFAULT_CRAN_MIRROR, diff: bool = False
+) -> CleanReport:
     """Clean one R file into out_dir (same filename) and return the action log.
 
+    The file is read and decoded once. With ``diff``, a file that any
+    rewrite changed also gets ``<file>.diff`` beside its cleaned copy.
     The original file is never modified. A write failure is fatal for
     this file and is recorded on the report.
     """
     path = Path(path)
     out_dir = Path(out_dir)
     report = CleanReport(path=str(path))
-    raw = path.read_bytes()
-    text, report.actions, report.was_ascii = clean_text(raw, mirror)
+    decoded, _ = rsource.decode(path.read_bytes())
+    text, report.actions, report.was_ascii = _clean(decoded, mirror)
     out_path = out_dir / path.name
     report.output_path = str(out_path)
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
         out_path.write_text(text, encoding="utf-8")
+        if diff and report.actions:
+            lines = difflib.unified_diff(
+                decoded.split("\n"), text.split("\n"), f"{path.name} (original)", f"{path.name} (cleaned)", lineterm=""
+            )
+            Path(f"{out_path}.diff").write_text("\n".join(lines) + "\n", encoding="utf-8")
     except OSError as exc:
         report.error = f"write failed: {exc}"
     return report
 
 
-def clean_tree(pkg_dir: Path | str, out_dir: Path | str, mirror: str = DEFAULT_CRAN_MIRROR) -> list[CleanReport]:
+def clean_tree(
+    pkg_dir: Path | str, out_dir: Path | str, mirror: str = DEFAULT_CRAN_MIRROR, diff: bool = False
+) -> list[CleanReport]:
     """Clean every R file under pkg_dir, mirroring its layout below out_dir."""
     pkg_dir = Path(pkg_dir)
     out_dir = Path(out_dir)
     reports = []
     for path in sorted(p for p in pkg_dir.rglob("*") if p.is_file() and rsource.is_r_source(p.name)):
         rel_parent = path.parent.relative_to(pkg_dir)
-        reports.append(clean_file(path, out_dir / rel_parent, mirror))
+        reports.append(clean_file(path, out_dir / rel_parent, mirror, diff))
     return reports
 
-
-def unified_diff(original: bytes, cleaned_text: str, name: str) -> str:
-    """Unified diff between the original bytes (decoded) and the cleaned text."""
-    before = _decode(original).split("\n")
-    after = cleaned_text.split("\n")
-    return "\n".join(
-        difflib.unified_diff(before, after, fromfile=f"{name} (original)", tofile=f"{name} (cleaned)", lineterm="")
-    )

@@ -30,7 +30,6 @@ from .ingest import IngestError, NetworkError, package_slug
 from .store import RunStore, StoreError
 
 EXIT_OK = 0
-EXIT_USAGE = 1
 EXIT_CONFIG = 2
 EXIT_NETWORK = 3
 EXIT_WRITE = 4
@@ -210,6 +209,25 @@ def cmd_analyze(args) -> int:
     return EXIT_OK
 
 
+def _clean_package(manifest, out_dir: Path, mirror: str, diff: bool = False) -> tuple[int, int]:
+    """Clean one package's R files into out_dir, with clean_reports.json; (actions, failures)."""
+    reports = cleaner.clean_tree(manifest.root, out_dir, mirror, diff)
+    failures = 0
+    for report in reports:
+        if report.error:
+            failures += 1
+            print(f"error: {report.path}: {report.error}", file=sys.stderr)
+    if reports:
+        try:
+            (out_dir / "clean_reports.json").write_text(
+                results.render_json([r.to_dict() for r in reports]), encoding="utf-8"
+            )
+        except OSError as exc:
+            failures += 1
+            print(f"error: cannot write clean reports for {out_dir.name}: {exc}", file=sys.stderr)
+    return sum(len(r.actions) for r in reports), failures
+
+
 def cmd_clean(args) -> int:
     try:
         manifests = ingest.discover_corpus(args.corpus)
@@ -219,33 +237,12 @@ def cmd_clean(args) -> int:
     out_root = Path(args.out) if args.out else Path(args.corpus) / "cleaned"
     mirror = args.mirror or cleaner.DEFAULT_CRAN_MIRROR
 
-    failures = 0
-    n_actions = 0
+    n_actions = failures = 0
     for manifest in manifests:
-        slug = package_slug(manifest.ref.persistent_id)
-        out_dir = out_root / slug
-        reports = cleaner.clean_tree(manifest.root, out_dir, mirror)
-        for report in reports:
-            n_actions += len(report.actions)
-            if report.error:
-                failures += 1
-                print(f"error: {report.path}: {report.error}", file=sys.stderr)
-            elif args.diff and report.actions:
-                original = Path(report.path).read_bytes()
-                cleaned_text = Path(report.output_path).read_text(encoding="utf-8")
-                diff_path = Path(report.output_path + ".diff")
-                diff_path.write_text(
-                    cleaner.unified_diff(original, cleaned_text, Path(report.path).name) + "\n",
-                    encoding="utf-8",
-                )
-        if reports:
-            try:
-                (out_dir / "clean_reports.json").write_text(
-                    results.render_json([r.to_dict() for r in reports]), encoding="utf-8"
-                )
-            except OSError as exc:
-                failures += 1
-                print(f"error: cannot write clean reports for {slug}: {exc}", file=sys.stderr)
+        out_dir = out_root / package_slug(manifest.ref.persistent_id)
+        actions, failed = _clean_package(manifest, out_dir, mirror, args.diff)
+        n_actions += actions
+        failures += failed
     print(f"cleaned {len(manifests)} packages into {out_root} ({n_actions} rewrite actions)")
     return EXIT_WRITE if failures else EXIT_OK
 
@@ -282,20 +279,20 @@ def cmd_run(args) -> int:
     cleaned_root = corpus_root / "cleaned"
     if MODE_CLEANED in config.modes:
         for manifest in runnable:
-            slug = package_slug(manifest.ref.persistent_id)
-            for entry in manifest.r_files():
-                if not (cleaned_root / slug / entry.relative_path).is_file():
-                    cleaner.clean_tree(manifest.root, cleaned_root / slug, config.cran_mirror)
-                    break
+            out_dir = cleaned_root / package_slug(manifest.ref.persistent_id)
+            missing = {e.relative_path for e in manifest.r_files() if not (out_dir / e.relative_path).is_file()}
+            if missing - manifest.unfetched():  # a never-fetched file has no cleaned copy to miss
+                _clean_package(manifest, out_dir, config.cran_mirror)
 
     store_path = Path(config.store_path)
     if args.force and store_path.exists():
         store_path.unlink()
     store = RunStore.open(store_path, config=config.snapshot())
     # excluded packages stay visible in reports, with their fetch status
+    known_packages = store.package_ids()
     for manifest in excluded:
         pid = manifest.ref.persistent_id
-        if pid not in store.package_ids():
+        if pid not in known_packages:
             store.append_package(manifest)
             store.append_event(pid, "-", "excluded_fetch_status", manifest.fetch_status)
     try:
@@ -352,10 +349,9 @@ def cmd_report(args) -> int:
         rate_column = "file_success_rate" if args.level == "file" else "dataset_success_rate"
         lines = [f"success rate by {args.group_by} ({args.level} level, {args.mode} mode):"]
         for row in rows:
-            rate = row[rate_column]
-            shown = "n/a" if rate is None else f"{100 * rate:.1f}%"
             lines.append(
-                f"  {row['group']}: {shown} (files n={row['n_files']}, datasets n={row['n_datasets']})"
+                f"  {row['group']}: {results.format_rate(row[rate_column])}"
+                f" (files n={row['n_files']}, datasets n={row['n_datasets']})"
             )
         summary += "\n".join(lines) + "\n"
 

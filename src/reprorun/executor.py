@@ -37,6 +37,11 @@ VERDICT_ERROR = "error"
 VERDICT_TLE = "tle"
 VERDICT_UNASSIGNED = "unassigned"
 
+# each (package, mode) unit ends with one of these events in the store
+EVENT_COMPLETED = "completed"
+EVENT_WORKSPACE_FAILURE = "workspace_failure"
+EVENT_INFRASTRUCTURE_FAILURE = "infrastructure_failure"
+
 MODE_RAW = "raw"
 MODE_CLEANED = "cleaned"
 
@@ -275,7 +280,7 @@ def execute_file(
 
 
 def _populate_workspace(
-    manifest: PackageManifest, workspace: Path, mode: str, cleaned_dir: Path | None
+    manifest: PackageManifest, workspace: Path, mode: str, cleaned_dir: Path | None, unfetched: set[str]
 ) -> None:
     try:
         if workspace.exists():
@@ -283,6 +288,8 @@ def _populate_workspace(
         workspace.mkdir(parents=True)
         root = Path(manifest.root)
         for entry in manifest.files:
+            if entry.relative_path in unfetched:
+                continue  # recorded download failure, nothing to copy
             src = root / entry.relative_path
             if mode == MODE_CLEANED and rsource.is_r_source(entry.relative_path):
                 src = (cleaned_dir or Path("")) / entry.relative_path
@@ -291,8 +298,6 @@ def _populate_workspace(
                         f"no cleaned output for {entry.relative_path} of {manifest.ref.persistent_id}"
                     )
             elif not src.is_file():
-                if entry.error:
-                    continue  # recorded download failure, nothing to copy
                 raise WorkspaceError(f"missing package file {src}")
             dest = workspace / entry.relative_path
             dest.parent.mkdir(parents=True, exist_ok=True)
@@ -318,22 +323,24 @@ def execute_package(
     Files run in lexicographic filename order. The per-package budget is
     cumulative per (interpreter x mode) workspace; once it is exhausted
     the remaining files get explicit "unassigned" outcomes rather than
-    silently vanishing.
+    silently vanishing. So does a file whose download failed, which is
+    never run.
     """
     scratch_root = Path(scratch_root)
     slug = package_slug(manifest.ref.persistent_id)
     pid = manifest.ref.persistent_id
     extra_env = None if network_allowed else no_network_env()
     r_entries = manifest.r_files()
+    unfetched = manifest.unfetched()
 
     outcomes: list[ExecutionOutcome] = []
     for interpreter in interpreters:
         workspace = scratch_root / f"{slug}__{interpreter.label}__{mode}"
-        _populate_workspace(manifest, workspace, mode, cleaned_dir)
+        _populate_workspace(manifest, workspace, mode, cleaned_dir, unfetched)
         try:
             remaining = float(budget.per_package)
             for entry in r_entries:
-                if remaining <= 0:
+                if remaining <= 0 or entry.relative_path in unfetched:
                     outcome = ExecutionOutcome(
                         package_id=pid,
                         file=entry.relative_path,
@@ -421,13 +428,13 @@ def run_matrix(
                 network_allowed=network_allowed,
                 on_outcome=lambda oc: (store.append_outcome(oc), outcomes.append(oc)),
             )
-            store.append_event(pid, mode, "completed")
+            store.append_event(pid, mode, EVENT_COMPLETED)
         except WorkspaceError as exc:
-            store.append_event(pid, mode, "workspace_failure", str(exc))
+            store.append_event(pid, mode, EVENT_WORKSPACE_FAILURE, str(exc))
         except InterpreterConfigError:
             raise
         except Exception as exc:  # crashed worker: isolate to this unit
-            store.append_event(pid, mode, "infrastructure_failure", repr(exc))
+            store.append_event(pid, mode, EVENT_INFRASTRUCTURE_FAILURE, repr(exc))
         return outcomes
 
     pool = ThreadPoolExecutor(max_workers=jobs)

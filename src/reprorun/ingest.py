@@ -132,6 +132,11 @@ class PackageManifest:
             key=lambda e: e.relative_path,
         )
 
+    def unfetched(self) -> set[str]:
+        """Relative paths of the files whose download failed and that are not on disk."""
+        root = Path(self.root)
+        return {e.relative_path for e in self.files if e.error and not (root / e.relative_path).is_file()}
+
     def to_dict(self) -> dict:
         data = asdict(self)
         return {**data.pop("ref"), **data}

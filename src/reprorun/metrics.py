@@ -9,6 +9,7 @@ contents; nothing is ever executed.
 
 from __future__ import annotations
 
+import contextlib
 import os
 import re
 import statistics
@@ -86,25 +87,6 @@ class PackageCensus:
         }
 
 
-def detect_encoding(data: bytes) -> str:
-    """Heuristic encoding label: ascii, utf-8, windows-1252, iso-8859-1, or binary."""
-    if b"\x00" in data:
-        return "binary"
-    try:
-        data.decode("ascii")
-        return "ascii"
-    except UnicodeDecodeError:
-        pass
-    try:
-        data.decode("utf-8")
-        return "utf-8"
-    except UnicodeDecodeError:
-        pass
-    if re.search(rb"[\x80-\x9f]", data):
-        return "windows-1252"
-    return "iso-8859-1"
-
-
 def _load_call_packages(line: str, code: str) -> Iterator[str | None]:
     """The package each library/require/install.packages call on a code line names, None where unreadable."""
     for _, _, open_idx in rsource.find_calls(code, _DEPENDENCY_CALLS):
@@ -167,11 +149,9 @@ def analyze_r_file(path: Path | str, package_id: str | None = None) -> FileMetri
     first-seen order; running the code is never required.
     """
     path = Path(path)
-    raw = path.read_bytes()
     metrics = FileMetrics(path=str(path), package_id=package_id)
-    metrics.is_ascii = raw.isascii()
-    metrics.detected_encoding = detect_encoding(raw)
-    text = rsource.decode_best_effort(raw)
+    text, metrics.detected_encoding = rsource.decode(path.read_bytes())
+    metrics.is_ascii = text.isascii()
 
     kinds: Counter = Counter()
     variables: list[str] = []
@@ -207,13 +187,15 @@ def _is_config_candidate(name: str) -> bool:
     return (lower.endswith((".r",)) and "install" in lower) or lower == "postinstall"
 
 
-def census(manifest: PackageManifest) -> PackageCensus:
+def census(manifest: PackageManifest, encodings: dict[str, str] | None = None) -> PackageCensus:
     """Package-level census of sizes, languages, documentation, and encodings.
 
     Sizes come from the manifest (so unreadable files still count); the
     encoding histogram is per file, with "unknown" for unreadable
-    entries, and always sums to the file count.
+    entries, and always sums to the file count. ``encodings`` maps
+    relative paths to labels already known; every other file is read.
     """
+    encodings = encodings or {}
     out = PackageCensus(package_id=manifest.ref.persistent_id)
     root = Path(manifest.root)
     lengths: list[int] = []
@@ -240,10 +222,12 @@ def census(manifest: PackageManifest) -> PackageCensus:
             out.filenames_with_spaces += 1
         lengths.append(len(_filename_without_extension(name)))
 
-        try:
-            encoding = detect_encoding((root / entry.relative_path).read_bytes())
-        except OSError:
-            encoding = "unknown"
+        encoding = encodings.get(entry.relative_path)
+        if encoding is None:
+            try:
+                encoding = rsource.encoding((root / entry.relative_path).read_bytes())
+            except OSError:
+                encoding = "unknown"
         out.encoding_histogram[encoding] = out.encoding_histogram.get(encoding, 0) + 1
 
     if lengths:
@@ -257,15 +241,21 @@ def census(manifest: PackageManifest) -> PackageCensus:
 
 
 def analyze_package(manifest: PackageManifest) -> tuple[PackageCensus, list[FileMetrics]]:
-    """Census plus FileMetrics for every R file in the manifest, in path order."""
-    pkg_census = census(manifest)
+    """Census plus FileMetrics for every readable R file in the manifest, in path order.
+
+    Each file is read once: the census takes the R files' encodings from
+    their metrics. An R file that cannot be read, such as one whose
+    download failed, gets no metrics and counts as "unknown".
+    """
     root = Path(manifest.root)
-    file_metrics = [
-        analyze_r_file(root / entry.relative_path, package_id=manifest.ref.persistent_id)
-        for entry in sorted(manifest.files, key=lambda e: e.relative_path)
-        if rsource.is_r_source(entry.relative_path)
-    ]
-    return pkg_census, file_metrics
+    encodings: dict[str, str] = {}
+    file_metrics = []
+    for entry in manifest.r_files():
+        with contextlib.suppress(OSError):  # unreadable: the census fails to read it too, and says unknown
+            fm = analyze_r_file(root / entry.relative_path, package_id=manifest.ref.persistent_id)
+            encodings[entry.relative_path] = fm.detected_encoding
+            file_metrics.append(fm)
+    return census(manifest, encodings), file_metrics
 
 
 def _distribution(values: list[float], buckets: int = 10) -> dict:

@@ -16,7 +16,7 @@ import csv
 import io
 import json
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 from .executor import (
     CATEGORY_OTHER,
@@ -34,8 +34,6 @@ DATASET_SUCCESS = "success"
 DATASET_ERROR = "error"
 DATASET_EXCLUDED_TLE = "excluded_tle"
 DATASET_EXCLUDED_NO_RESULTS = "excluded_no_results"
-
-GROUP_KEYS = ("journal", "policy_class", "year", "subject", "interpreter_label")
 
 UNLABELED = "(unlabeled)"
 
@@ -208,18 +206,8 @@ class CleaningEffectReport:
     best_of_both: SuccessRate
 
     def to_dict(self) -> dict:
-        return {
-            "n_common_files": self.n_common_files,
-            "n_restricted": self.n_restricted,
-            "fixed": self.fixed,
-            "broken": self.broken,
-            "unchanged_success": self.unchanged_success,
-            "unchanged_error": self.unchanged_error,
-            "transitions": self.transitions,
-            "raw_rate": self.raw_rate.to_dict(),
-            "cleaned_rate": self.cleaned_rate.to_dict(),
-            "best_of_both": self.best_of_both.to_dict(),
-        }
+        rates = {key: getattr(self, key).to_dict() for key in ("raw_rate", "cleaned_rate", "best_of_both")}
+        return {**asdict(self), **rates}
 
 
 def compare_runs(raw: list[CombinedResult], cleaned: list[CombinedResult]) -> CleaningEffectReport:
@@ -242,22 +230,15 @@ def compare_runs(raw: list[CombinedResult], cleaned: list[CombinedResult]) -> Cl
         if raw_by[key].verdict in explicit and cleaned_by[key].verdict in explicit
     ]
     transitions: Counter = Counter((_state(r), _state(c)) for r, c in pairs)
-    fixed = sum(1 for r, c in pairs if r.verdict == VERDICT_ERROR and c.verdict == VERDICT_SUCCESS)
-    broken = sum(1 for r, c in pairs if r.verdict == VERDICT_SUCCESS and c.verdict == VERDICT_ERROR)
-    unchanged_success = sum(
-        1 for r, c in pairs if r.verdict == VERDICT_SUCCESS and c.verdict == VERDICT_SUCCESS
-    )
-    unchanged_error = sum(
-        1 for r, c in pairs if r.verdict == VERDICT_ERROR and c.verdict == VERDICT_ERROR
-    )
+    moves = Counter((r.verdict, c.verdict) for r, c in pairs)
     best = sum(1 for r, c in pairs if VERDICT_SUCCESS in (r.verdict, c.verdict))
     return CleaningEffectReport(
         n_common_files=len(common),
         n_restricted=len(pairs),
-        fixed=fixed,
-        broken=broken,
-        unchanged_success=unchanged_success,
-        unchanged_error=unchanged_error,
+        fixed=moves[VERDICT_ERROR, VERDICT_SUCCESS],
+        broken=moves[VERDICT_SUCCESS, VERDICT_ERROR],
+        unchanged_success=moves[VERDICT_SUCCESS, VERDICT_SUCCESS],
+        unchanged_error=moves[VERDICT_ERROR, VERDICT_ERROR],
         transitions=[
             {"from": frm, "to": to, "count": count}
             for (frm, to), count in sorted(transitions.items())
@@ -400,7 +381,7 @@ def render_json(payload) -> str:
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
-def _fmt_rate(rate: float | None) -> str:
+def format_rate(rate: float | None) -> str:
     return "n/a" if rate is None else f"{100 * rate:.1f}%"
 
 
@@ -414,9 +395,9 @@ def render_overview_text(report: dict) -> str:
     for mode in report["modes"]:
         fr, dr = mode["file_rate"], mode["dataset_rate"]
         lines.append(
-            f"[{mode['mode']}] file success {_fmt_rate(fr['rate'])}"
+            f"[{mode['mode']}] file success {format_rate(fr['rate'])}"
             f" ({fr['numerator']}/{fr['denominator']}),"
-            f" dataset success {_fmt_rate(dr['rate'])}"
+            f" dataset success {format_rate(dr['rate'])}"
             f" ({dr['numerator']}/{dr['denominator']})"
         )
         lines.append(f"  file verdicts: {mode['file_verdicts']}")
@@ -430,9 +411,9 @@ def render_overview_text(report: dict) -> str:
             f" unchanged_error={effect['unchanged_error']}"
         )
         lines.append(
-            f"  raw {_fmt_rate(effect['raw_rate']['rate'])}"
-            f" -> cleaned {_fmt_rate(effect['cleaned_rate']['rate'])}"
-            f" (best of both {_fmt_rate(effect['best_of_both']['rate'])})"
+            f"  raw {format_rate(effect['raw_rate']['rate'])}"
+            f" -> cleaned {format_rate(effect['cleaned_rate']['rate'])}"
+            f" (best of both {format_rate(effect['best_of_both']['rate'])})"
         )
         for t in effect["transitions"]:
             lines.append(f"  {t['from']} -> {t['to']}: {t['count']}")

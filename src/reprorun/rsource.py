@@ -1,6 +1,8 @@
-"""Minimal line-oriented scanner for R source text.
+"""Decoding and a minimal line-oriented scanner for R source text.
 
-Shared by the metrics, cleaner and stub modules. Deliberately not a full
+Shared by the metrics, cleaner and stub modules. ``decode`` and
+``encoding`` are the one encoding decision in the package: nothing else
+decodes source bytes or names their encoding. Deliberately not a full
 R grammar: one compiled regex finds single- and double-quoted string
 literals with backslash escapes on a single physical line, and nothing
 else in the package knows about R quoting.
@@ -45,15 +47,36 @@ _STRING_RE = re.compile(
     r""""[^"\\]*(?:\\.[^"\\]*)*(?:"|\\)?|'[^'\\]*(?:\\.[^'\\]*)*(?:'|\\)?""", re.DOTALL
 )
 _PAREN_RE = re.compile(r"[()]")
+_C1_RE = re.compile(rb"[\x80-\x9f]")  # bytes that are C1 controls in latin-1 and text in windows-1252
 _NESTING_RE = re.compile(r"[()\[\]{};,=]")
 
 
-def decode_best_effort(raw: bytes) -> str:
-    """Decode source bytes as UTF-8, falling back to a single-byte decoding."""
+def _encoding_name(raw: bytes, utf8: bool) -> str:
+    """The encoding label of raw, told whether it decodes as UTF-8."""
+    if b"\x00" in raw:
+        return "binary"
+    if raw.isascii():
+        return "ascii"
+    return "utf-8" if utf8 else "windows-1252" if _C1_RE.search(raw) else "iso-8859-1"
+
+
+def encoding(raw: bytes) -> str:
+    """Encoding label of source bytes: ascii, utf-8, windows-1252, iso-8859-1, or binary (a NUL).
+
+    Builds no text for ASCII bytes or bytes holding a NUL; other bytes are
+    decoded once, as ``decode`` does.
+    """
+    if b"\x00" in raw or raw.isascii():
+        return _encoding_name(raw, True)
+    return decode(raw)[1]
+
+
+def decode(raw: bytes) -> tuple[str, str]:
+    """Source bytes as text (UTF-8, else latin-1: total), with their ``encoding`` label."""
     try:
-        return raw.decode("utf-8")
+        return raw.decode("utf-8"), _encoding_name(raw, True)
     except UnicodeDecodeError:
-        return raw.decode("latin-1")
+        return raw.decode("latin-1"), _encoding_name(raw, False)
 
 
 def split_lines(text: str) -> list[str]:

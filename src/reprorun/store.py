@@ -24,7 +24,7 @@ import threading
 import uuid
 from pathlib import Path
 
-from .executor import ExecutionOutcome
+from .executor import EVENT_COMPLETED, ExecutionOutcome
 from .ingest import PackageManifest
 
 log = logging.getLogger(__name__)
@@ -33,10 +33,6 @@ KIND_CONFIG = "config"
 KIND_OUTCOME = "outcome"
 KIND_PACKAGE = "package"
 KIND_EVENT = "package_event"
-
-EVENT_COMPLETED = "completed"
-EVENT_WORKSPACE_FAILURE = "workspace_failure"
-EVENT_INFRASTRUCTURE_FAILURE = "infrastructure_failure"
 
 
 class StoreError(Exception):

@@ -216,7 +216,7 @@ class StubSession:
 
     def run(self, script_path: str) -> int:
         with open(script_path, "rb") as fh:
-            text = rsource.decode_best_effort(fh.read())
+            text, _ = rsource.decode(fh.read())
         try:
             for _, line, code in rsource.code_lines(rsource.split_lines(text)):
                 for start, end in rsource.split_statements(code):

@@ -130,7 +130,7 @@ def test_c3_cleaner_fidelity():
         for raw in _cleaner_fixture_set():
             once, _, _ = clean_text(raw)
             assert len(once.split("\n")) == len(
-                rsource.decode_best_effort(raw).split("\n")
+                rsource.decode(raw)[0].split("\n")
             ), raw
             twice, second_actions, _ = clean_text(once.encode("utf-8"))
             assert twice == once, raw

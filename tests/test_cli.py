@@ -8,7 +8,9 @@ from pathlib import Path
 
 import pytest
 
+from reprorun import cleaner, cli
 from reprorun.cli import build_parser, main
+from reprorun.store import RunStore
 
 from conftest import DEMO_METADATA, DEMO_PACKAGES, make_package
 
@@ -87,6 +89,27 @@ def test_pipeline_end_to_end(cli_corpus: Path, tmp_path: Path):
     assert "R3.2" in grouped and "R4.0" in grouped
 
 
+def test_clean_diff_file_is_byte_exact(tmp_path: Path):
+    corpus = tmp_path / "corpus"
+    make_package(tmp_path / "sources", "pkg", {
+        "a.R": b'# caf\xe9 analysis\nsetwd("/home/me/proj")\nx <- read.csv("data.csv")\nprint(x)\n',
+    })
+    assert main(["ingest", "--dest", str(corpus), "--local", str(tmp_path / "sources" / "pkg")]) == 0
+    assert main(["clean", "--corpus", str(corpus), "--diff"]) == 0
+    assert (corpus / "cleaned" / "local_pkg" / "a.R.diff").read_bytes() == (
+        b"--- a.R (original)\n"
+        b"+++ a.R (cleaned)\n"
+        b"@@ -1,5 +1,5 @@\n"
+        b"-# caf\xc3\xa9 analysis\n"
+        b'-setwd("/home/me/proj")\n'
+        b"+# caf? analysis\n"
+        b'+setwd(".")\n'
+        b' x <- read.csv("data.csv")\n'
+        b" print(x)\n"
+        b" \n"
+    )
+
+
 def test_partial_packages_excluded_but_reported(tmp_path: Path):
     corpus = tmp_path / "corpus"
     for name in ("goodpkg", "halfpkg"):
@@ -110,6 +133,75 @@ def test_partial_packages_excluded_but_reported(tmp_path: Path):
     assert report["packages"]["fetch_status_counts"] == {"ok": 1, "partial": 1}
     raw_mode = report["modes"][0]
     assert raw_mode["file_rate"]["denominator"] == 1  # only the ok package executed
+
+
+def _partial_corpus(tmp_path: Path, names=("half",)) -> Path:
+    """An ingested corpus of partial packages, each with a b.R whose download failed."""
+    corpus = tmp_path / "corpus"
+    for name in names:
+        source = tmp_path / "sources" / name
+        make_package(tmp_path / "sources", name, {"a.R": "x <- 1\nprint(x)\n", "b.R": "print(2)\n"})
+        assert main(["ingest", "--dest", str(corpus), "--local", str(source)]) == 0
+        manifest_path = corpus / "manifests" / f"local_{name}.json"
+        data = json.loads(manifest_path.read_text())
+        data["fetch_status"] = "partial"
+        next(f for f in data["files"] if f["relative_path"] == "b.R")["error"] = "HTTP 500"
+        manifest_path.write_text(json.dumps(data))
+        (source / "b.R").unlink()
+    return corpus
+
+
+def test_analyze_counts_never_fetched_r_file_unknown(tmp_path: Path):
+    corpus = _partial_corpus(tmp_path)
+    out = tmp_path / "metrics"
+    assert main(["analyze", "--corpus", str(corpus), "--out", str(out)]) == 0
+    assert [Path(row["path"]).name for row in json.loads((out / "file_metrics.json").read_text())] == ["a.R"]
+    [census] = json.loads((out / "package_census.json").read_text())
+    assert census["encoding_histogram"] == {"ascii": 1, "unknown": 1}
+
+
+def test_run_include_partial_leaves_never_fetched_file_unassigned(tmp_path: Path, monkeypatch):
+    corpus = _partial_corpus(tmp_path)
+    store_path = tmp_path / "store.jsonl"
+    argv = [
+        "run", "--corpus", str(corpus), "--store", str(store_path), "--stub", "--include-partial",
+        "--budget-file", "2", "--budget-package", "5", "--scratch", str(tmp_path / "scratch"),
+    ]
+    assert main(argv) == 0
+    store = RunStore.load(store_path)
+    verdicts: dict[tuple[str, str], set[str]] = {}
+    for o in store.outcomes():
+        verdicts.setdefault((o.file, o.cleaning_mode), set()).add(o.verdict)
+    assert verdicts == {
+        ("a.R", "raw"): {"success"}, ("a.R", "cleaned"): {"success"},
+        ("b.R", "raw"): {"unassigned"}, ("b.R", "cleaned"): {"unassigned"},
+    }
+    assert {e["event"] for e in store.events()} == {"completed"}
+    assert (corpus / "cleaned" / "local_half" / "clean_reports.json").is_file()
+
+    report_dir = tmp_path / "report"
+    assert main(["report", "--store", str(store_path), "--out", str(report_dir)]) == 0
+    report = json.loads((report_dir / "report.json").read_text())
+    assert [m["file_rate"]["denominator"] for m in report["modes"]] == [1, 1]
+
+    reclean = []
+    monkeypatch.setattr(cleaner, "clean_tree", lambda *args, **kwargs: reclean.append(args) or [])
+    assert main(argv + ["--force"]) == 0
+    assert reclean == []  # the cleaned tree is complete without the never-fetched file
+
+
+def test_run_lists_store_packages_once(tmp_path: Path, monkeypatch):
+    corpus = _partial_corpus(tmp_path, names=("p1", "p2", "p3"))
+    calls = []
+    real_packages = RunStore.packages
+    monkeypatch.setattr(RunStore, "packages", lambda self: calls.append(1) or real_packages(self))
+    monkeypatch.setattr(cli, "run_matrix", lambda *args, **kwargs: iter(()))
+    assert main([
+        "run", "--corpus", str(corpus), "--store", str(tmp_path / "store.jsonl"), "--stub",
+        "--scratch", str(tmp_path / "scratch"),
+    ]) == 0
+    assert len(calls) == 1  # three excluded packages, one scan of the store
+    assert set(RunStore.load(tmp_path / "store.jsonl").package_ids()) == {"local:p1", "local:p2", "local:p3"}
 
 
 def test_run_resume_is_idempotent(cli_corpus: Path, tmp_path: Path):

@@ -16,7 +16,6 @@ from reprorun.metrics import (
     analyze_r_file,
     census,
     corpus_stats,
-    detect_encoding,
     scan_dependencies,
 )
 from reprorun import rsource
@@ -112,22 +111,36 @@ def oracle_detect_encoding(data: bytes) -> str:
     return "iso-8859-1"
 
 
-@given(st.one_of(st.binary(max_size=300), st.text(max_size=100).map(lambda t: t.encode("utf-8"))))
+def oracle_decode_best_effort(raw: bytes) -> str:
+    """The former rsource.decode_best_effort: UTF-8, else latin-1."""
+    try:
+        return raw.decode("utf-8")
+    except UnicodeDecodeError:
+        return raw.decode("latin-1")
+
+
+@given(st.one_of(
+    st.binary(max_size=300),
+    st.text(max_size=100).map(lambda t: t.encode("utf-8")),
+    st.text(alphabet=st.characters(max_codepoint=255), max_size=100).map(lambda t: t.encode("latin-1")),
+))
 def test_byte_builtins_match_per_byte_loops(raw):
     assert raw.isascii() == all(b < 128 for b in raw)  # FileMetrics.is_ascii
-    assert detect_encoding(raw) == oracle_detect_encoding(raw)
+    assert rsource.encoding(raw) == oracle_detect_encoding(raw)
+    assert rsource.decode(raw) == (oracle_decode_best_effort(raw), oracle_detect_encoding(raw))
     text, was_ascii = normalize_encoding(raw)
     assert was_ascii == all(b < 128 for b in raw)
-    decoded = rsource.decode_best_effort(raw)
+    decoded = oracle_decode_best_effort(raw)
     assert text == "".join(ch if ord(ch) < 128 else "?" for ch in decoded)
 
 
 def test_detect_encoding_ladder():
-    assert detect_encoding(b"plain") == "ascii"
-    assert detect_encoding("caf\u00e9".encode("utf-8")) == "utf-8"
-    assert detect_encoding(b"caf\xe9") == "iso-8859-1"
-    assert detect_encoding(b"smart \x93quote\x94") == "windows-1252"
-    assert detect_encoding(b"\x00\x01binary") == "binary"
+    assert rsource.encoding(b"plain") == "ascii"
+    assert rsource.encoding("caf\u00e9".encode("utf-8")) == "utf-8"
+    assert rsource.encoding(b"caf\xe9") == "iso-8859-1"
+    assert rsource.encoding(b"smart \x93quote\x94") == "windows-1252"
+    assert rsource.encoding(b"\x00\x01binary") == "binary"
+    assert rsource.decode(b"caf\xe9\x00") == ("caf\u00e9\x00", "binary")
 
 
 # --- dependency detection -----------------------------------------------------

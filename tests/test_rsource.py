@@ -4,7 +4,8 @@ The loop-based ``string_spans``, ``comment_start`` and ``split_statements``
 below are kept only as the oracle: on any line, the masked-line helpers
 must give the same literal spans, mask, comment start and statement
 offsets. The scan-count tests check that the cleaner and the metrics
-scan each code line once.
+scan each code line once, and the read-count tests that analyze and
+clean read and decode each file once.
 """
 
 from __future__ import annotations
@@ -13,9 +14,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from collections import Counter
+from pathlib import Path
+
 from reprorun import rsource
-from reprorun.cleaner import clean_text
-from reprorun.metrics import analyze_r_file
+from reprorun.cleaner import clean_file, clean_text
+from reprorun.cli import main
+from reprorun.metrics import analyze_package, analyze_r_file
+
+from conftest import make_package
 
 
 def oracle_string_spans(line: str) -> list[tuple[int, int]]:
@@ -134,3 +141,61 @@ def test_analyze_scans_each_code_line_once(tmp_path, scans):
 def test_clean_scans_each_unrewritten_code_line_once(scans):
     assert clean_text(UNTOUCHED_SOURCE.encode())[:2] == (UNTOUCHED_SOURCE, [])
     assert len(scans) == len(UNTOUCHED_CODE_LINES)
+
+
+@pytest.fixture
+def reads(monkeypatch) -> Counter:
+    """Reads per path and calls per rsource decoder made while the test runs."""
+    calls: Counter = Counter()
+    real_bytes, real_text = Path.read_bytes, Path.read_text
+
+    def read_bytes(self):
+        calls[str(self)] += 1
+        return real_bytes(self)
+
+    def read_text(self, *args, **kwargs):
+        calls[str(self)] += 1
+        return real_text(self, *args, **kwargs)
+
+    monkeypatch.setattr(Path, "read_bytes", read_bytes)
+    monkeypatch.setattr(Path, "read_text", read_text)
+    for name in ("decode", "encoding"):
+        def counted(raw, _real=getattr(rsource, name), _name=f"rsource.{name}"):
+            calls[_name] += 1
+            return _real(raw)
+
+        monkeypatch.setattr(rsource, name, counted)
+    return calls
+
+
+LATIN1_SETWD = b'# caf\xe9\nsetwd("/home/me")\nx <- 1\n'
+PACKAGE_FILES = {"a.R": LATIN1_SETWD, "sub/b.R": "library(zoo)\n", "data.csv": "x\n1\n", "README.md": "hi\n"}
+
+
+def test_analyze_package_reads_each_file_once(tmp_path, reads):
+    manifest = make_package(tmp_path, "pkg", PACKAGE_FILES)
+    reads.clear()
+    pkg_census, file_metrics = analyze_package(manifest)
+    assert reads == Counter({
+        **{str(tmp_path / "pkg" / name): 1 for name in PACKAGE_FILES},
+        "rsource.decode": 2,  # the R files, for their metrics and encodings
+        "rsource.encoding": 2,  # the other files, for their encodings
+    })
+    assert [Path(fm.path).name for fm in file_metrics] == ["a.R", "b.R"]
+    assert pkg_census.encoding_histogram == {"ascii": 3, "iso-8859-1": 1}
+
+
+def test_clean_file_reads_and_decodes_once(tmp_path, reads):
+    src = tmp_path / "a.R"
+    src.write_bytes(LATIN1_SETWD)
+    report = clean_file(src, tmp_path / "out")
+    assert [a.kind for a in report.actions] == ["encoding_normalized", "setwd_rewritten"]
+    assert reads == Counter({str(src): 1, "rsource.decode": 1})
+
+
+def test_clean_diff_reads_no_file_twice(tmp_path, reads):
+    make_package(tmp_path / "corpus", "pkg", PACKAGE_FILES)
+    assert main(["clean", "--corpus", str(tmp_path / "corpus"), "--diff"]) == 0
+    assert (tmp_path / "corpus" / "cleaned" / "local_pkg" / "a.R.diff").is_file()
+    assert reads.pop("rsource.decode") == 2
+    assert sorted(reads.values()) == [1, 1]  # the two R files
