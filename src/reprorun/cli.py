@@ -1,8 +1,7 @@
 """Command-line entry point wiring the pipeline stages.
 
-Subcommands: ingest, analyze, clean, run, report. Exit codes: 2 config
-error, 3 network failure, 4 unwritable clean output, 5 interpreter
-configuration error, 6 empty results store.
+Subcommands: ingest, analyze, clean, run, report. The commands raise;
+``main`` alone turns a failure into one ``error:`` line and its exit code.
 """
 
 from __future__ import annotations
@@ -26,15 +25,21 @@ from .executor import (
     InterpreterConfigError,
     run_matrix,
 )
-from .ingest import IngestError, NetworkError, package_slug
+from .ingest import CorpusError, IngestError, package_slug
 from .store import RunStore, StoreError
 
 EXIT_OK = 0
-EXIT_CONFIG = 2
-EXIT_NETWORK = 3
-EXIT_WRITE = 4
-EXIT_INTERPRETER = 5
-EXIT_EMPTY_STORE = 6
+EXIT_WRITE = 4  # per-file clean failures are counted, not raised
+
+# The exit code of each failure; the most specific listed class of an exception decides.
+EXIT_CODES = {
+    ConfigError: 2,
+    CorpusError: 2,
+    IngestError: 3,
+    InterpreterConfigError: 5,
+    StoreError: 6,
+    results.MismatchError: 6,
+}
 
 GROUP_BY_KEYS = {
     "journal": "journal",
@@ -119,15 +124,14 @@ def _load_metadata_file(path: str | None) -> dict:
         data = json.loads(Path(path).read_text(encoding="utf-8"))
     except (OSError, ValueError) as exc:
         raise ConfigError(f"cannot read metadata file {path}: {exc}") from exc
-    if not isinstance(data, dict):
-        raise ConfigError("metadata file must map package ids to metadata objects")
+    if not isinstance(data, dict) or not all(isinstance(value, dict) for value in data.values()):
+        raise ConfigError(f"metadata file {path} must map package ids to metadata objects")
     return data
 
 
 def cmd_ingest(args) -> int:
     dest = Path(args.dest).resolve()
     manifests_dir = dest / "manifests"
-    manifests_dir.mkdir(parents=True, exist_ok=True)
     overlay = _load_metadata_file(args.metadata_file)
 
     if args.local:
@@ -137,12 +141,14 @@ def cmd_ingest(args) -> int:
         if manifest_path.exists() and not args.force:
             print(f"skip {manifest.ref.persistent_id}: manifest exists")
             return EXIT_OK
+        manifests_dir.mkdir(parents=True, exist_ok=True)
         ingest.save_manifest(manifest, manifest_path)
         print(f"cataloged {manifest.ref.persistent_id}: {len(manifest.files)} files")
         return EXIT_OK
 
     api_base = args.api_base or DEFAULT_API_BASE
     refs = ingest.list_packages(api_base, args.query or DEFAULT_QUERY, args.limit)
+    manifests_dir.mkdir(parents=True, exist_ok=True)
     todo = []
     for ref in refs:
         ref.metadata.update(overlay.get(ref.persistent_id, {}))
@@ -187,11 +193,7 @@ def _csv_cell(value):
 
 
 def cmd_analyze(args) -> int:
-    try:
-        manifests = ingest.discover_corpus(args.corpus)
-    except IngestError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+    manifests = ingest.discover_corpus(args.corpus)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 
@@ -229,11 +231,7 @@ def _clean_package(manifest, out_dir: Path, mirror: str, diff: bool = False) -> 
 
 
 def cmd_clean(args) -> int:
-    try:
-        manifests = ingest.discover_corpus(args.corpus)
-    except IngestError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+    manifests = ingest.discover_corpus(args.corpus)
     out_root = Path(args.out) if args.out else Path(args.corpus) / "cleaned"
     mirror = args.mirror or cleaner.DEFAULT_CRAN_MIRROR
 
@@ -248,24 +246,20 @@ def cmd_clean(args) -> int:
 
 
 def cmd_run(args) -> int:
-    try:
-        config = load_config(
-            args.config,
-            modes=args.modes,
-            jobs=args.jobs,
-            per_file_seconds=args.budget_file,
-            per_package_seconds=args.budget_package,
-            store_path=args.store,
-            scratch_root=args.scratch,
-            network_allowed=False if args.no_network else None,
-            interpreters=(
-                stub_interpreters(preinstalled=args.stub_preinstalled, repo=args.stub_repo) if args.stub else None
-            ),
-        )
-        manifests = ingest.discover_corpus(args.corpus)
-    except (ConfigError, IngestError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+    config = load_config(
+        args.config,
+        modes=args.modes,
+        jobs=args.jobs,
+        per_file_seconds=args.budget_file,
+        per_package_seconds=args.budget_package,
+        store_path=args.store,
+        scratch_root=args.scratch,
+        network_allowed=False if args.no_network else None,
+        interpreters=(
+            stub_interpreters(preinstalled=args.stub_preinstalled, repo=args.stub_repo) if args.stub else None
+        ),
+    )
+    manifests = ingest.discover_corpus(args.corpus)
 
     runnable, excluded = [], []
     for manifest in manifests:
@@ -310,9 +304,6 @@ def cmd_run(args) -> int:
             keep_workspaces=args.keep_workspaces,
         ):
             n += 1
-    except InterpreterConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INTERPRETER
     finally:
         store.close()
     print(f"recorded {n} outcomes in {store_path} (run {store.run_id})")
@@ -320,18 +311,12 @@ def cmd_run(args) -> int:
 
 
 def cmd_report(args) -> int:
-    try:
-        store = RunStore.load(args.store)
-        has_outcomes = bool(store.outcomes())
-    except StoreError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_EMPTY_STORE
-    if not has_outcomes:
-        print("error: store has no outcomes", file=sys.stderr)
-        return EXIT_EMPTY_STORE
+    store = RunStore.load(args.store)
+    if not store.outcomes():
+        raise StoreError("store has no outcomes")
+    overlay = _load_metadata_file(args.metadata_file)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    overlay = _load_metadata_file(args.metadata_file)
     if overlay:
         for pid, record in store.packages().items():
             record.setdefault("metadata", {}).update(overlay.get(pid, {}))
@@ -372,15 +357,9 @@ def main(argv: list[str] | None = None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except NetworkError as exc:
-        print(f"network error: {exc}", file=sys.stderr)
-        return EXIT_NETWORK
-    except IngestError as exc:
-        print(f"ingest error: {exc}", file=sys.stderr)
-        return EXIT_NETWORK
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+    except tuple(EXIT_CODES) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return next(EXIT_CODES[cls] for cls in type(exc).__mro__ if cls in EXIT_CODES)
 
 
 if __name__ == "__main__":

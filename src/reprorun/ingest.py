@@ -67,6 +67,10 @@ class AuthorizationError(IngestError):
     """The repository denied access (HTTP 401/403)."""
 
 
+class CorpusError(IngestError):
+    """A corpus root, package directory or manifest on disk cannot be read."""
+
+
 class ApiFormatError(IngestError):
     """The repository answered with a payload we cannot parse."""
 
@@ -162,7 +166,16 @@ def save_manifest(manifest: PackageManifest, path: Path | str) -> None:
 
 
 def load_manifest(path: Path | str) -> PackageManifest:
-    return PackageManifest.from_dict(json.loads(Path(path).read_text(encoding="utf-8")))
+    """Read one saved manifest; a file that is not one raises CorpusError naming it."""
+    try:
+        data = json.loads(Path(path).read_text(encoding="utf-8"))
+        if not isinstance(data, dict):
+            raise ValueError("not a JSON object")
+        return PackageManifest.from_dict(data)
+    except KeyError as exc:
+        raise CorpusError(f"manifest {path} lacks required key {exc}") from None
+    except (OSError, ValueError, TypeError) as exc:  # TypeError: a files entry that is not an object
+        raise CorpusError(f"cannot read manifest {path}: {exc}") from None
 
 
 def _utc_now() -> str:
@@ -627,7 +640,7 @@ def discover_corpus(root: Path | str) -> list[PackageManifest]:
     """
     root = Path(root)
     if not root.is_dir():
-        raise IngestError(f"corpus root is not a directory: {root}")
+        raise CorpusError(f"corpus root is not a directory: {root}")
     manifests_dir = root / "manifests"
     if manifests_dir.is_dir():
         return [load_manifest(p) for p in sorted(manifests_dir.glob("*.json"))]
@@ -646,7 +659,7 @@ def load_local_package(directory: Path | str, metadata: dict | None = None) -> P
     """
     directory = Path(directory)
     if not directory.is_dir():
-        raise IngestError(f"not a directory: {directory}")
+        raise CorpusError(f"not a directory: {directory}")
     metadata = dict(metadata or {})
     ref = PackageRef(
         persistent_id=metadata.pop("persistent_id", f"local:{directory.name}"),

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -10,6 +11,7 @@ import pytest
 
 from reprorun import cleaner, cli
 from reprorun.cli import build_parser, main
+from reprorun.executor import ExecutionOutcome
 from reprorun.store import RunStore
 
 from conftest import DEMO_METADATA, DEMO_PACKAGES, make_package
@@ -349,24 +351,111 @@ def test_report_invalid_utf8_record_exit_6(tmp_path: Path, capsys):
 
 def test_malformed_metadata_file_exit_2(tmp_path: Path, capsys):
     bad = tmp_path / "bad.json"
-    bad.write_text("{bad", encoding="utf-8")
     make_package(tmp_path / "sources", "pkg", {"a.R": "x <- 1\n"})
-    assert main([
-        "ingest", "--dest", str(tmp_path / "corpus"), "--local", str(tmp_path / "sources" / "pkg"),
-        "--metadata-file", str(bad),
-    ]) == 2
-    from reprorun.executor import ExecutionOutcome
-    from reprorun.store import RunStore
-
     store = RunStore.open(tmp_path / "s.jsonl")
     store.append_outcome(ExecutionOutcome("p", "a.R", "R1", "raw", "success"))
     store.close()
-    assert main([
-        "report", "--store", str(tmp_path / "s.jsonl"), "--out", str(tmp_path / "o"), "--metadata-file", str(bad),
-    ]) == 2
-    err = capsys.readouterr().err
-    assert err.count("cannot read metadata file") == 2
+    for text, message in [
+        ("{bad", "cannot read metadata file"),
+        ('{"local:pkg": "oops"}', "must map package ids to metadata objects"),
+    ]:
+        bad.write_text(text, encoding="utf-8")
+        assert main([
+            "ingest", "--dest", str(tmp_path / "corpus"), "--local", str(tmp_path / "sources" / "pkg"),
+            "--metadata-file", str(bad),
+        ]) == 2
+        assert not (tmp_path / "corpus").exists()  # nothing written before the inputs are read
+        assert main([
+            "report", "--store", str(tmp_path / "s.jsonl"), "--out", str(tmp_path / "o"), "--metadata-file", str(bad),
+        ]) == 2
+        err = capsys.readouterr().err
+        assert err.count(message) == 2
+        assert "Traceback" not in err
+
+
+def _ingested_corpus(tmp_path: Path) -> Path:
+    corpus = tmp_path / "corpus"
+    make_package(tmp_path / "sources", "pkg", {"a.R": "x <- 1\n"})
+    assert main(["ingest", "--dest", str(corpus), "--local", str(tmp_path / "sources" / "pkg")]) == 0
+    return corpus
+
+
+def _manifest_not_json(tmp_path: Path) -> list[str]:
+    corpus = _ingested_corpus(tmp_path)
+    (corpus / "manifests" / "local_pkg.json").write_text("{bad", encoding="utf-8")
+    return ["analyze", "--corpus", str(corpus), "--out", str(tmp_path / "o")]
+
+
+def _manifest_without_id(tmp_path: Path) -> list[str]:
+    corpus = _ingested_corpus(tmp_path)
+    path = corpus / "manifests" / "local_pkg.json"
+    data = json.loads(path.read_text(encoding="utf-8"))
+    del data["persistent_id"]
+    path.write_text(json.dumps(data), encoding="utf-8")
+    return ["clean", "--corpus", str(corpus)]
+
+
+def _run_on_corrupt_store(tmp_path: Path) -> list[str]:
+    make_package(tmp_path / "corpus", "pkg", {"a.R": "x <- 1\n"})
+    store_path = tmp_path / "s.jsonl"
+    store = RunStore.open(store_path)
+    store.append_outcome(ExecutionOutcome("p", "a.R", "R1", "raw", "success"))
+    store.close()
+    with open(store_path, "a", encoding="utf-8") as fh:
+        fh.write('{"kind": "outc\n{"kind": "package_event"}\n')  # corrupt record, then a whole tail
+    return [
+        "run", "--corpus", str(tmp_path / "corpus"), "--store", str(store_path), "--stub",
+        "--modes", "raw", "--scratch", str(tmp_path / "scratch"),
+    ]
+
+
+def _report_on_disjoint_modes(tmp_path: Path) -> list[str]:
+    store = RunStore.open(tmp_path / "s.jsonl")
+    store.append_outcome(ExecutionOutcome("p1", "a.R", "R1", "raw", "success"))
+    store.append_outcome(ExecutionOutcome("p2", "b.R", "R1", "cleaned", "success"))
+    store.close()
+    return ["report", "--store", str(tmp_path / "s.jsonl"), "--out", str(tmp_path / "o")]
+
+
+def _ingest_missing_local_dir(tmp_path: Path) -> list[str]:
+    return ["ingest", "--dest", str(tmp_path / "corpus"), "--local", str(tmp_path / "gone")]
+
+
+@pytest.mark.parametrize(
+    "make_argv, code, via_shell",
+    [
+        (_manifest_not_json, 2, False),
+        (_manifest_without_id, 2, False),
+        (_run_on_corrupt_store, 6, False),
+        (_report_on_disjoint_modes, 6, False),
+        (_ingest_missing_local_dir, 2, True),
+    ],
+    ids=["manifest-not-json", "manifest-without-id", "run-corrupt-store", "report-disjoint-modes", "missing-local-dir"],
+)
+def test_hostile_input_exits_with_documented_code(tmp_path: Path, capsys, make_argv, code: int, via_shell: bool):
+    argv = make_argv(tmp_path)
+    if via_shell:
+        import reprorun
+
+        src = str(Path(reprorun.__file__).resolve().parent.parent)
+        proc = subprocess.run(
+            [sys.executable, "-m", "reprorun", *argv],
+            env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, timeout=60,
+        )
+        returncode, err = proc.returncode, proc.stderr
+    else:
+        capsys.readouterr()
+        returncode, err = main(argv), capsys.readouterr().err
+    assert returncode == code
+    assert err.startswith("error: ") and err.count("\n") == 1
     assert "Traceback" not in err
+
+
+def test_readme_exit_codes_match_main():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Exit codes", 1)[1].split("\n## ", 1)[0]
+    documented = {int(m) for m in re.findall(r"^\| (\d+) \|", section, flags=re.MULTILINE)}
+    assert documented == set(cli.EXIT_CODES.values()) | {cli.EXIT_WRITE}
 
 
 def test_report_metadata_overlay_for_policy(cli_corpus: Path, tmp_path: Path):
