@@ -39,6 +39,7 @@ EXIT_CODES = {
     InterpreterConfigError: 5,
     StoreError: 6,
     results.MismatchError: 6,
+    OSError: 4,  # an output that cannot be written; corpus and store reads raise their own errors
 }
 
 GROUP_BY_KEYS = {
@@ -269,27 +270,26 @@ def cmd_run(args) -> int:
             excluded.append(manifest)
             print(f"skip {manifest.ref.persistent_id}: fetch status {manifest.fetch_status}")
 
-    corpus_root = Path(args.corpus)
-    cleaned_root = corpus_root / "cleaned"
-    if MODE_CLEANED in config.modes:
-        for manifest in runnable:
-            out_dir = cleaned_root / package_slug(manifest.ref.persistent_id)
-            missing = {e.relative_path for e in manifest.r_files() if not (out_dir / e.relative_path).is_file()}
-            if missing - manifest.unfetched():  # a never-fetched file has no cleaned copy to miss
-                _clean_package(manifest, out_dir, config.cran_mirror)
-
     store_path = Path(config.store_path)
     if args.force and store_path.exists():
         store_path.unlink()
-    store = RunStore.open(store_path, config=config.snapshot())
-    # excluded packages stay visible in reports, with their fetch status
-    known_packages = store.package_ids()
-    for manifest in excluded:
-        pid = manifest.ref.persistent_id
-        if pid not in known_packages:
-            store.append_package(manifest)
-            store.append_event(pid, "-", "excluded_fetch_status", manifest.fetch_status)
+    store = RunStore.open(store_path, config=config.snapshot())  # a bad store fails before anything is cleaned
     try:
+        cleaned_root = Path(args.corpus) / "cleaned"
+        if MODE_CLEANED in config.modes:
+            for manifest in runnable:
+                out_dir = cleaned_root / package_slug(manifest.ref.persistent_id)
+                missing = {e.relative_path for e in manifest.r_files() if not (out_dir / e.relative_path).is_file()}
+                if missing - manifest.unfetched():  # a never-fetched file has no cleaned copy to miss
+                    _clean_package(manifest, out_dir, config.cran_mirror)
+
+        # excluded packages stay visible in reports, with their fetch status
+        known_packages = store.package_ids()
+        for manifest in excluded:
+            pid = manifest.ref.persistent_id
+            if pid not in known_packages:
+                store.append_package(manifest)
+                store.append_event(pid, "-", "excluded_fetch_status", manifest.fetch_status)
         n = 0
         for _ in run_matrix(
             runnable,

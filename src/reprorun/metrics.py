@@ -193,7 +193,9 @@ def census(manifest: PackageManifest, encodings: dict[str, str] | None = None) -
     Sizes come from the manifest (so unreadable files still count); the
     encoding histogram is per file, with "unknown" for unreadable
     entries, and always sums to the file count. ``encodings`` maps
-    relative paths to labels already known; every other file is read.
+    relative paths to labels already known; every other file is read
+    through ``rsource.file_encoding``, in 64 KiB blocks up to its first
+    NUL, so the census holds one block of a data file at a time.
     """
     encodings = encodings or {}
     out = PackageCensus(package_id=manifest.ref.persistent_id)
@@ -225,7 +227,7 @@ def census(manifest: PackageManifest, encodings: dict[str, str] | None = None) -
         encoding = encodings.get(entry.relative_path)
         if encoding is None:
             try:
-                encoding = rsource.encoding((root / entry.relative_path).read_bytes())
+                encoding = rsource.file_encoding(root / entry.relative_path)
             except OSError:
                 encoding = "unknown"
         out.encoding_histogram[encoding] = out.encoding_histogram.get(encoding, 0) + 1

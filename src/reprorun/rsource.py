@@ -1,11 +1,15 @@
 """Decoding and a minimal line-oriented scanner for R source text.
 
-Shared by the metrics, cleaner and stub modules. ``decode`` and
-``encoding`` are the one encoding decision in the package: nothing else
-decodes source bytes or names their encoding. Deliberately not a full
-R grammar: one compiled regex finds single- and double-quoted string
-literals with backslash escapes on a single physical line, and nothing
-else in the package knows about R quoting.
+Shared by the metrics, cleaner and stub modules. ``decode``,
+``encoding`` and ``file_encoding`` are the one encoding decision in the
+package: nothing else decodes source bytes or names their encoding, and
+all three name it through one ladder folded over byte blocks.
+``file_encoding`` reads a file in 64 KiB blocks and stops at the first
+NUL, so labelling a data file holds one block, not the file.
+
+Deliberately not a full R grammar: one compiled regex finds single- and
+double-quoted string literals with backslash escapes on a single
+physical line, and nothing else in the package knows about R quoting.
 
 ``code_lines`` is the one entry point for code lines: it scans each code
 line once and yields it with its masked code, which every other helper
@@ -21,15 +25,20 @@ one misreads the rest of the line.
 
 from __future__ import annotations
 
+import codecs
+import functools
 import re
 from collections import Counter
 from collections.abc import Iterable, Iterator
+from pathlib import Path
 
 CODE = "code"
 COMMENT = "comment"
 BLANK = "blank"
 
 R_SUFFIXES = (".R", ".r")
+
+BLOCK_SIZE = 64 * 1024  # bytes per read of file_encoding
 
 
 def is_r_source(name: str) -> bool:
@@ -51,32 +60,56 @@ _C1_RE = re.compile(rb"[\x80-\x9f]")  # bytes that are C1 controls in latin-1 an
 _NESTING_RE = re.compile(r"[()\[\]{};,=]")
 
 
-def _encoding_name(raw: bytes, utf8: bool) -> str:
-    """The encoding label of raw, told whether it decodes as UTF-8."""
-    if b"\x00" in raw:
-        return "binary"
-    if raw.isascii():
+def _fold_encoding(blocks: Iterable[bytes], utf8: bool | None = None) -> str:
+    """The encoding label of the bytes that ``blocks`` join to, read block by block.
+
+    A NUL in any block gives binary, and no later block is read; all-ASCII
+    blocks give ascii. Other bytes are utf-8 when they decode as UTF-8,
+    checked by an incremental decoder unless ``utf8`` already tells,
+    else windows-1252 when any block holds a C1 byte, else iso-8859-1.
+    """
+    decoder = codecs.getincrementaldecoder("utf-8")()
+    is_ascii, c1 = True, False
+    for block in blocks:
+        if b"\x00" in block:
+            return "binary"
+        if is_ascii and block.isascii():
+            continue
+        is_ascii = False
+        c1 = c1 or _C1_RE.search(block) is not None
+        if utf8 is None:
+            try:
+                decoder.decode(block)
+            except UnicodeDecodeError:
+                utf8 = False
+    if is_ascii:
         return "ascii"
-    return "utf-8" if utf8 else "windows-1252" if _C1_RE.search(raw) else "iso-8859-1"
+    if utf8 is None:
+        try:
+            decoder.decode(b"", final=True)
+            utf8 = True
+        except UnicodeDecodeError:
+            utf8 = False
+    return "utf-8" if utf8 else "windows-1252" if c1 else "iso-8859-1"
 
 
 def encoding(raw: bytes) -> str:
-    """Encoding label of source bytes: ascii, utf-8, windows-1252, iso-8859-1, or binary (a NUL).
+    """Encoding label of source bytes: ascii, utf-8, windows-1252, iso-8859-1, or binary (a NUL)."""
+    return _fold_encoding((raw,))
 
-    Builds no text for ASCII bytes or bytes holding a NUL; other bytes are
-    decoded once, as ``decode`` does.
-    """
-    if b"\x00" in raw or raw.isascii():
-        return _encoding_name(raw, True)
-    return decode(raw)[1]
+
+def file_encoding(path: Path | str) -> str:
+    """The ``encoding`` label of a file's bytes, read in ``BLOCK_SIZE`` blocks up to the first NUL."""
+    with open(path, "rb") as fh:
+        return _fold_encoding(iter(functools.partial(fh.read, BLOCK_SIZE), b""))
 
 
 def decode(raw: bytes) -> tuple[str, str]:
     """Source bytes as text (UTF-8, else latin-1: total), with their ``encoding`` label."""
     try:
-        return raw.decode("utf-8"), _encoding_name(raw, True)
+        return raw.decode("utf-8"), _fold_encoding((raw,), utf8=True)
     except UnicodeDecodeError:
-        return raw.decode("latin-1"), _encoding_name(raw, False)
+        return raw.decode("latin-1"), _fold_encoding((raw,), utf8=False)
 
 
 def split_lines(text: str) -> list[str]:

@@ -9,7 +9,10 @@ even inside a multi-byte character, or a record whose newline never
 reached the disk). A torn final line is reported and skipped on load
 instead of poisoning the run, and ``open`` cuts the file back to the end
 of the last whole record before it appends. Invalid UTF-8 before the
-final line is a StoreError. Outcome records are parsed into
+final line is a StoreError. The log is read line by line, with the line
+read last held back until the next one shows it is not the final line,
+so a load holds one line of the file, not the whole log, beside the
+records it keeps. Outcome records are parsed into
 ``ExecutionOutcome`` objects on the first ``outcomes()`` call, not on
 load, and kept for later calls; the latest record of each (package,
 file, interpreter, mode) wins.
@@ -79,38 +82,48 @@ class RunStore:
         return store
 
     def _read(self) -> None:
+        end = 0
+        last = None  # (number, bytes) of the line read last: the final line if no other follows
         try:
-            data = self.path.read_bytes()
+            with open(self.path, "rb") as fh:
+                for number, line in enumerate(fh, 1):
+                    if last is not None:
+                        self.records.append(self._parse_line(*last))
+                        end += len(last[1])
+                    last = number, line
         except OSError as exc:
             raise StoreError(f"cannot read store {self.path}: {exc}") from exc
-        end = data.rfind(b"\n") + 1
-        try:
-            raw_lines = data[:end].decode("utf-8").split("\n")
-        except UnicodeDecodeError as exc:
-            line = data.count(b"\n", 0, exc.start) + 1
-            raise StoreError(f"record at line {line} of {self.path} is not valid UTF-8") from None
-        raw_lines.pop()  # "" after the last newline
-        self.truncated_tail = end < len(data)
-        for i, line in enumerate(raw_lines):
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError:
-                if i == len(raw_lines) - 1:
-                    self.truncated_tail = True
-                    end = data.rfind(b"\n", 0, end - 1) + 1
-                    break
-                raise StoreError(f"corrupt record at line {i + 1} of {self.path}") from None
-            if not isinstance(record, dict):
-                raise StoreError(f"record at line {i + 1} of {self.path} is not a JSON object")
-            self.records.append(record)
+        if last is not None:
+            number, line = last
+            record = self._parse_line(number, line, final=True) if line.endswith(b"\n") else None
+            if record is None:
+                self.truncated_tail = True
+                log.warning("store %s: dropping torn final record", self.path)
+            else:
+                self.records.append(record)
+                end += len(line)
         self.valid_end = end
-        if self.truncated_tail:
-            log.warning("store %s: dropping torn final record", self.path)
         for record in self.records:
             if record.get("kind") == KIND_CONFIG:
                 self.run_id = record.get("run_id")
                 self.config = record.get("config", {})
                 break
+
+    def _parse_line(self, number: int, line: bytes, final: bool = False) -> dict | None:
+        """The record on a whole line; None for a final line that does not parse, which is torn."""
+        try:
+            text = line.decode("utf-8")
+        except UnicodeDecodeError:
+            raise StoreError(f"record at line {number} of {self.path} is not valid UTF-8") from None
+        try:
+            record = json.loads(text)
+        except json.JSONDecodeError:
+            if final:
+                return None
+            raise StoreError(f"corrupt record at line {number} of {self.path}") from None
+        if not isinstance(record, dict):
+            raise StoreError(f"record at line {number} of {self.path} is not a JSON object")
+        return record
 
     # --- appending -----------------------------------------------------------
 

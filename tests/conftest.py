@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -11,6 +12,17 @@ from reprorun.ingest import PackageManifest, load_local_package
 
 def stub_spec(label: str = "stubR", preinstalled: str = "", repo: str = "") -> InterpreterSpec:
     return stub_interpreters((label,), preinstalled=preinstalled, repo=repo)[0]
+
+
+def traced_memory(fn) -> tuple[object, int, int]:
+    """fn()'s result, the traced memory still allocated after it, and the traced peak while it ran."""
+    tracemalloc.start()
+    try:
+        result = fn()
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, held, peak
 
 
 def make_package(root: Path, name: str, files: dict[str, str | bytes], metadata: dict | None = None) -> PackageManifest:

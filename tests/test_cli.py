@@ -405,8 +405,14 @@ def _run_on_corrupt_store(tmp_path: Path) -> list[str]:
         fh.write('{"kind": "outc\n{"kind": "package_event"}\n')  # corrupt record, then a whole tail
     return [
         "run", "--corpus", str(tmp_path / "corpus"), "--store", str(store_path), "--stub",
-        "--modes", "raw", "--scratch", str(tmp_path / "scratch"),
+        "--modes", "raw,cleaned", "--scratch", str(tmp_path / "scratch"),
     ]
+
+
+def _analyze_out_under_a_file(tmp_path: Path) -> list[str]:
+    make_package(tmp_path / "corpus", "pkg", {"a.R": "x <- 1\n"})
+    (tmp_path / "f").write_text("", encoding="utf-8")
+    return ["analyze", "--corpus", str(tmp_path / "corpus"), "--out", str(tmp_path / "f" / "x")]
 
 
 def _report_on_disjoint_modes(tmp_path: Path) -> list[str]:
@@ -427,10 +433,14 @@ def _ingest_missing_local_dir(tmp_path: Path) -> list[str]:
         (_manifest_not_json, 2, False),
         (_manifest_without_id, 2, False),
         (_run_on_corrupt_store, 6, False),
+        (_analyze_out_under_a_file, 4, False),
         (_report_on_disjoint_modes, 6, False),
         (_ingest_missing_local_dir, 2, True),
     ],
-    ids=["manifest-not-json", "manifest-without-id", "run-corrupt-store", "report-disjoint-modes", "missing-local-dir"],
+    ids=[
+        "manifest-not-json", "manifest-without-id", "run-corrupt-store", "out-not-writable",
+        "report-disjoint-modes", "missing-local-dir",
+    ],
 )
 def test_hostile_input_exits_with_documented_code(tmp_path: Path, capsys, make_argv, code: int, via_shell: bool):
     argv = make_argv(tmp_path)
@@ -449,6 +459,7 @@ def test_hostile_input_exits_with_documented_code(tmp_path: Path, capsys, make_a
     assert returncode == code
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "Traceback" not in err
+    assert not (tmp_path / "corpus" / "cleaned").exists()  # run fails on its store before it cleans
 
 
 def test_readme_exit_codes_match_main():

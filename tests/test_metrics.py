@@ -1,10 +1,11 @@
 from __future__ import annotations
 
+import builtins
 import re
 import statistics
 from pathlib import Path
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from reprorun import cli, results
@@ -20,7 +21,7 @@ from reprorun.metrics import (
 )
 from reprorun import rsource
 
-from conftest import make_package
+from conftest import make_package, traced_memory
 
 # Hand-counted fixture: 10 physical lines, 2 comment-only, 0 blank, 8 code.
 TEN_LINE_FIXTURE = (
@@ -119,11 +120,14 @@ def oracle_decode_best_effort(raw: bytes) -> str:
         return raw.decode("latin-1")
 
 
-@given(st.one_of(
+SOURCE_BYTES = st.one_of(
     st.binary(max_size=300),
     st.text(max_size=100).map(lambda t: t.encode("utf-8")),
     st.text(alphabet=st.characters(max_codepoint=255), max_size=100).map(lambda t: t.encode("latin-1")),
-))
+)
+
+
+@given(SOURCE_BYTES)
 def test_byte_builtins_match_per_byte_loops(raw):
     assert raw.isascii() == all(b < 128 for b in raw)  # FileMetrics.is_ascii
     assert rsource.encoding(raw) == oracle_detect_encoding(raw)
@@ -141,6 +145,53 @@ def test_detect_encoding_ladder():
     assert rsource.encoding(b"smart \x93quote\x94") == "windows-1252"
     assert rsource.encoding(b"\x00\x01binary") == "binary"
     assert rsource.decode(b"caf\xe9\x00") == ("caf\u00e9\x00", "binary")
+
+
+@given(SOURCE_BYTES, st.lists(st.integers(min_value=0, max_value=400), max_size=8))
+@example("café".encode("utf-8"), [4])  # a cut inside the two bytes of é
+@example(b"\xc3a\xa9", [1, 2])  # an ASCII block between a lead byte and a continuation byte
+@example("café".encode("utf-8") + b" \x93", [4, 6])  # a C1 byte only in the last block
+@example("café".encode("utf-8") + b" \x00", [4, 6])  # a NUL only in the last block
+def test_block_fold_matches_one_block_and_oracle(raw: bytes, cuts: list[int]):
+    bounds = sorted(min(cut, len(raw)) for cut in cuts)
+    blocks = [raw[start:end] for start, end in zip([0, *bounds], [*bounds, len(raw)])]
+    assert b"".join(blocks) == raw
+    assert rsource._fold_encoding(blocks) == rsource.encoding(raw) == oracle_detect_encoding(raw)
+
+
+def test_file_encoding_reads_one_block_of_a_file_with_a_nul_in_it(tmp_path: Path, monkeypatch):
+    path = tmp_path / "data.dta"
+    path.write_bytes(b"\x00" + b"\xe9" * (3 * rsource.BLOCK_SIZE))
+    sizes: list[int] = []
+
+    class CountedReads:
+        def __init__(self, fh):
+            self.fh = fh
+
+        def read(self, size=-1):
+            data = self.fh.read(size)
+            sizes.append(len(data))
+            return data
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.fh.close()
+
+    real_open = builtins.open
+    monkeypatch.setattr(builtins, "open", lambda *args, **kwargs: CountedReads(real_open(*args, **kwargs)))
+    assert rsource.file_encoding(path) == "binary"
+    assert sizes == [rsource.BLOCK_SIZE]
+
+
+def test_census_of_a_large_data_file_holds_one_block(tmp_path: Path):
+    data = "café,1\n".encode("utf-8") * (16 * 2**20 // 8)  # 16 MiB of non-ASCII text
+    manifest = make_package(tmp_path, "pkg", {"data.csv": data})
+    del data
+    pkg_census, _, peak = traced_memory(lambda: census(manifest))
+    assert pkg_census.encoding_histogram == {"utf-8": 1}
+    assert peak < 2**20
 
 
 # --- dependency detection -----------------------------------------------------

@@ -10,6 +10,8 @@ clean read and decode each file once.
 
 from __future__ import annotations
 
+import builtins
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -145,24 +147,30 @@ def test_clean_scans_each_unrewritten_code_line_once(scans):
 
 @pytest.fixture
 def reads(monkeypatch) -> Counter:
-    """Reads per path and calls per rsource decoder made while the test runs."""
+    """Files opened for reading, per path, and calls per rsource decoder made while the test runs.
+
+    ``open`` and ``Path.open`` count the opens; ``Path.read_bytes`` and
+    ``Path.read_text`` open through ``Path.open``, so they count once too.
+    """
     calls: Counter = Counter()
-    real_bytes, real_text = Path.read_bytes, Path.read_text
+    real_open, real_path_open = builtins.open, Path.open
 
-    def read_bytes(self):
-        calls[str(self)] += 1
-        return real_bytes(self)
+    def counted_open(file, mode="r", *args, **kwargs):
+        if "r" in mode:
+            calls[str(file)] += 1
+        return real_open(file, mode, *args, **kwargs)
 
-    def read_text(self, *args, **kwargs):
-        calls[str(self)] += 1
-        return real_text(self, *args, **kwargs)
+    def path_open(self, mode="r", *args, **kwargs):
+        if "r" in mode:
+            calls[str(self)] += 1
+        return real_path_open(self, mode, *args, **kwargs)
 
-    monkeypatch.setattr(Path, "read_bytes", read_bytes)
-    monkeypatch.setattr(Path, "read_text", read_text)
-    for name in ("decode", "encoding"):
-        def counted(raw, _real=getattr(rsource, name), _name=f"rsource.{name}"):
+    monkeypatch.setattr(builtins, "open", counted_open)
+    monkeypatch.setattr(Path, "open", path_open)
+    for name in ("decode", "encoding", "file_encoding"):
+        def counted(arg, _real=getattr(rsource, name), _name=f"rsource.{name}"):
             calls[_name] += 1
-            return _real(raw)
+            return _real(arg)
 
         monkeypatch.setattr(rsource, name, counted)
     return calls
@@ -179,7 +187,7 @@ def test_analyze_package_reads_each_file_once(tmp_path, reads):
     assert reads == Counter({
         **{str(tmp_path / "pkg" / name): 1 for name in PACKAGE_FILES},
         "rsource.decode": 2,  # the R files, for their metrics and encodings
-        "rsource.encoding": 2,  # the other files, for their encodings
+        "rsource.file_encoding": 2,  # the other files, for their encodings
     })
     assert [Path(fm.path).name for fm in file_metrics] == ["a.R", "b.R"]
     assert pkg_census.encoding_histogram == {"ascii": 3, "iso-8859-1": 1}

@@ -10,6 +10,8 @@ import pytest
 from reprorun.executor import ExecutionOutcome
 from reprorun.store import RunStore, StoreError
 
+from conftest import traced_memory
+
 
 def outcome(i: int, mode: str = "raw") -> ExecutionOutcome:
     return ExecutionOutcome(
@@ -130,12 +132,12 @@ def test_open_cuts_a_record_whose_newline_never_reached_the_disk(tmp_path: Path,
     assert loaded.completed_runs() == ({("pkg3", "raw")} if n_appends == 2 else set())
 
 
-def _store_torn_inside_e_acute(path: Path) -> bytes:
-    """A store whose last record is cut after the first byte of a two-byte ``é``."""
+def _store_torn_inside_e_acute(path: Path, pad: int = 0) -> bytes:
+    """A store whose last record, ``pad`` bytes longer, is cut after the first byte of a two-byte ``é``."""
     store = RunStore.open(path)
     store.append_outcome(ExecutionOutcome("p", "é.R", "R1", "raw", "success", stderr_tail="café"))
     store.close()
-    whole = json.dumps({"kind": "outcome", "package_id": "p", "stderr_tail": "é"}, ensure_ascii=False)
+    whole = json.dumps({"kind": "outcome", "package_id": "p", "stderr_tail": "x" * pad + "é"}, ensure_ascii=False)
     torn = whole.encode("utf-8")[: whole.index("é") + 1]
     with open(path, "ab") as fh:
         fh.write(torn)
@@ -165,6 +167,21 @@ def test_open_cuts_a_multibyte_torn_tail_before_appending(tmp_path: Path):
     assert loaded.completed_runs() == {("p", "raw")}
 
 
+def test_open_cuts_a_torn_tail_longer_than_the_read_buffer(tmp_path: Path):
+    path = tmp_path / "s.jsonl"
+    torn = _store_torn_inside_e_acute(path, pad=2**18)  # far more than one read of the file
+    loaded = RunStore.load(path)
+    assert loaded.truncated_tail
+    assert len(torn) - loaded.valid_end > 2**18
+    store = RunStore.open(path)
+    assert path.stat().st_size == store.valid_end == loaded.valid_end
+    store.append_outcome(outcome(2))
+    store.close()
+    loaded = RunStore.load(path)
+    assert not loaded.truncated_tail
+    assert [o.file for o in loaded.outcomes()] == ["é.R", "f2.R"]
+
+
 def test_invalid_utf8_before_the_tail_is_store_error_naming_its_line(tmp_path: Path):
     path = tmp_path / "s.jsonl"
     store = RunStore.open(path)
@@ -176,6 +193,18 @@ def test_invalid_utf8_before_the_tail_is_store_error_naming_its_line(tmp_path: P
     path.write_bytes(b"\n".join(lines))
     with pytest.raises(StoreError, match="line 3 .*not valid UTF-8"):
         RunStore.load(path)
+
+
+def test_load_holds_no_copy_of_the_log(tmp_path: Path):
+    path = tmp_path / "s.jsonl"
+    store = RunStore.open(path)
+    for i in range(10_000):
+        store.append_outcome(ExecutionOutcome(**{**outcome(i).to_dict(), "stderr_tail": "é" * 200}))
+    store.close()
+    assert path.stat().st_size > 4 * 2**20
+    loaded, held, peak = traced_memory(lambda: RunStore.load(path))
+    assert len(loaded.records) == 10_001
+    assert peak - held < 2**20
 
 
 def test_latest_outcome_of_each_key_wins(tmp_path: Path):
