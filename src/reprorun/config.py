@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .cleaner import DEFAULT_CRAN_MIRROR
-from .executor import MODE_CLEANED, MODE_RAW, Budget, InterpreterSpec
+from .executor import MODE_CLEANED, MODE_RAW, Budget, InterpreterSpec, validate_interpreters
 
 DEFAULT_API_BASE = "https://dataverse.harvard.edu"
 DEFAULT_QUERY = 'fileContentType:"type/x-r-syntax"'
@@ -84,6 +84,7 @@ class RunConfig:
                 raise ConfigError(f"unknown cleaning mode {mode!r}")
             if mode in self.modes[:i]:
                 raise ConfigError(f"cleaning mode {mode!r} listed twice")
+        validate_interpreters(self.interpreters)
 
     def snapshot(self) -> dict:
         """JSON-ready view stored alongside the run's outcomes."""

@@ -123,7 +123,7 @@ class Budget:
             raise ValueError(f"need 0 < per_file <= per_package, got {self.per_file}/{self.per_package}")
 
 
-@dataclass
+@dataclass(slots=True)
 class ExecutionOutcome:
     """Verdict of one (file x interpreter x cleaning mode) run."""
 

@@ -11,11 +11,14 @@ instead of poisoning the run, and ``open`` cuts the file back to the end
 of the last whole record before it appends. Invalid UTF-8 before the
 final line is a StoreError. The log is read line by line, with the line
 read last held back until the next one shows it is not the final line,
-so a load holds one line of the file, not the whole log, beside the
-records it keeps. Outcome records are parsed into
-``ExecutionOutcome`` objects on the first ``outcomes()`` call, not on
-load, and kept for later calls; the latest record of each (package,
-file, interpreter, mode) wins.
+so a read holds one line of the file, not the whole log. No list of
+records is kept: each whole record, read or appended, is routed once by
+its kind into the one view that needs it. A record that lacks a key its
+view needs is a StoreError naming its line; an appended one is not
+written. Outcome records become ``ExecutionOutcome`` objects, the latest
+of each (package, file, interpreter, mode) winning, for readers only:
+``load`` builds them as it reads, while ``open``, the writer's entry
+point, skips them and reads them only if ``outcomes()`` is called.
 """
 
 from __future__ import annotations
@@ -25,6 +28,7 @@ import logging
 import os
 import threading
 import uuid
+from collections.abc import Callable, Iterator
 from pathlib import Path
 
 from .executor import EVENT_COMPLETED, ExecutionOutcome
@@ -47,14 +51,17 @@ class RunStore:
 
     def __init__(self, path: Path | str):
         self.path = Path(path)
-        self.records: list[dict] = []
         self.truncated_tail = False
         self.valid_end = 0  # byte offset where the last whole record ends
         self.run_id: str | None = None
         self.config: dict = {}
+        self._configured = False  # the first config record wins
+        self._packages: dict[str, dict] = {}
+        self._events: list[dict] = []
+        self._completed: set[tuple[str, str]] = set()
+        self._outcomes: dict[tuple, ExecutionOutcome] | None = None  # built for readers only
         self._lock = threading.Lock()
         self._fh = None
-        self._outcomes: list[ExecutionOutcome] | None = None  # parsed on first use
 
     # --- lifecycle -----------------------------------------------------------
 
@@ -67,7 +74,7 @@ class RunStore:
             if store.truncated_tail:
                 # cut the torn record, so the next append starts a line of its own
                 os.truncate(store.path, store.valid_end)
-        if not store.records:
+        if not store.valid_end:  # no whole record
             store.path.parent.mkdir(parents=True, exist_ok=True)
             store.run_id = run_id or uuid.uuid4().hex[:12]
             store.config = config or {}
@@ -76,38 +83,38 @@ class RunStore:
 
     @classmethod
     def load(cls, path: Path | str) -> "RunStore":
-        """Read-only view of an existing log."""
+        """Read-only view of an existing log, its outcomes included."""
         store = cls(path)
+        store._outcomes = {}
         store._read()
         return store
 
     def _read(self) -> None:
+        for number, record, end in self._lines():
+            if record is None:
+                self.truncated_tail = True
+                log.warning("store %s: dropping torn final record", self.path)
+            else:
+                self._route(record, number)
+                self.valid_end = end
+
+    def _lines(self) -> Iterator[tuple[int, dict | None, int]]:
+        """(number, record, end offset) of each line; the record of a torn final line is None."""
         end = 0
         last = None  # (number, bytes) of the line read last: the final line if no other follows
         try:
             with open(self.path, "rb") as fh:
                 for number, line in enumerate(fh, 1):
                     if last is not None:
-                        self.records.append(self._parse_line(*last))
                         end += len(last[1])
+                        yield last[0], self._parse_line(*last), end
                     last = number, line
         except OSError as exc:
             raise StoreError(f"cannot read store {self.path}: {exc}") from exc
         if last is not None:
             number, line = last
             record = self._parse_line(number, line, final=True) if line.endswith(b"\n") else None
-            if record is None:
-                self.truncated_tail = True
-                log.warning("store %s: dropping torn final record", self.path)
-            else:
-                self.records.append(record)
-                end += len(line)
-        self.valid_end = end
-        for record in self.records:
-            if record.get("kind") == KIND_CONFIG:
-                self.run_id = record.get("run_id")
-                self.config = record.get("config", {})
-                break
+            yield number, record, end + len(line)
 
     def _parse_line(self, number: int, line: bytes, final: bool = False) -> dict | None:
         """The record on a whole line; None for a final line that does not parse, which is torn."""
@@ -125,19 +132,63 @@ class RunStore:
             raise StoreError(f"record at line {number} of {self.path} is not a JSON object")
         return record
 
+    def _route(self, record: dict, number: int | None = None, write: Callable | None = None) -> None:
+        """Put one whole record into the view its kind feeds, after ``write`` when one is given.
+
+        A record that lacks a key its view needs is a StoreError naming
+        its line, raised before ``write`` is called.
+        """
+        kind = record.get("kind")
+        try:
+            if kind == KIND_OUTCOME and self._outcomes is not None:
+                outcome = ExecutionOutcome.from_dict(record)
+                key = outcome.package_id, outcome.file, outcome.interpreter_label, outcome.cleaning_mode
+            elif kind == KIND_PACKAGE:
+                key = record["package_id"]
+            elif kind == KIND_EVENT and record.get("event") == EVENT_COMPLETED:
+                key = record["package_id"], record["mode"]
+        except KeyError as exc:
+            at = f"at line {number} of" if number else "appended to"
+            raise StoreError(f"{kind} record {at} {self.path} lacks key {exc.args[0]!r}") from None
+        if write is not None:
+            write()
+        if kind == KIND_OUTCOME:
+            if self._outcomes is not None:
+                self._outcomes[key] = outcome
+        elif kind == KIND_PACKAGE:
+            self._packages[key] = record
+        elif kind == KIND_EVENT:
+            if record.get("event") == EVENT_COMPLETED:
+                self._completed.add(key)
+            self._events.append(record)
+        elif kind == KIND_CONFIG and not self._configured:
+            self._configured = True
+            self.run_id = record.get("run_id")
+            self.config = record.get("config", {})
+
+    @property
+    def records(self) -> Iterator[dict]:
+        """Every whole record of the log in log order, read from the file again on each use."""
+        return (record for _, record, _ in self._lines() if record is not None)
+
     # --- appending -----------------------------------------------------------
 
     def append(self, record: dict) -> None:
-        """Append one record; a single write so concurrent producers interleave whole lines."""
-        line = json.dumps(record, sort_keys=True, ensure_ascii=False) + "\n"
-        with self._lock:
+        """Append one record; a single write so concurrent producers interleave whole lines.
+
+        A record that lacks a key its view needs is never written, and a
+        record enters its view only once its write has returned.
+        """
+        line = json.dumps(record, sort_keys=True) + "\n"
+
+        def write() -> None:
             if self._fh is None:
                 self._fh = open(self.path, "a", encoding="utf-8")
             self._fh.write(line)
             self._fh.flush()
-            self.records.append(record)
-            if record.get("kind") == KIND_OUTCOME:
-                self._outcomes = None
+
+        with self._lock:
+            self._route(record, write=write)
 
     def append_outcome(self, outcome: ExecutionOutcome) -> None:
         self.append({"kind": KIND_OUTCOME, **outcome.to_dict()})
@@ -175,42 +226,24 @@ class RunStore:
         outcomes supersede those of an attempt that was killed part-way;
         a file removed from the package between the attempts keeps its
         earlier outcome. Outcomes come in the log order of each key's
-        first record. Raises StoreError naming the line of an outcome
-        record that lacks a required key.
+        first record.
         """
         with self._lock:
-            if self._outcomes is None:
-                latest: dict[tuple, ExecutionOutcome] = {}
-                for i, r in enumerate(self.records):
-                    if r.get("kind") == KIND_OUTCOME:
-                        o = self._parse_outcome(i, r)
-                        latest[o.package_id, o.file, o.interpreter_label, o.cleaning_mode] = o
-                self._outcomes = list(latest.values())
-            out = list(self._outcomes)
+            if self._outcomes is None:  # an opened store reads its outcomes once, on first use
+                self._outcomes = RunStore.load(self.path)._outcomes
+            out = list(self._outcomes.values())
         if mode is not None:
             out = [o for o in out if o.cleaning_mode == mode]
         return out
 
-    def _parse_outcome(self, index: int, record: dict) -> ExecutionOutcome:
-        try:
-            return ExecutionOutcome.from_dict(record)
-        except KeyError as exc:
-            raise StoreError(
-                f"outcome record at line {index + 1} of {self.path} lacks key {exc.args[0]!r}"
-            ) from None
-
     def packages(self) -> dict[str, dict]:
-        return {r["package_id"]: r for r in self.records if r.get("kind") == KIND_PACKAGE}
+        return dict(self._packages)
 
     def package_ids(self) -> set[str]:
         return set(self.packages())
 
     def events(self) -> list[dict]:
-        return [r for r in self.records if r.get("kind") == KIND_EVENT]
+        return list(self._events)
 
     def completed_runs(self) -> set[tuple[str, str]]:
-        return {
-            (r["package_id"], r["mode"])
-            for r in self.records
-            if r.get("kind") == KIND_EVENT and r.get("event") == EVENT_COMPLETED
-        }
+        return set(self._completed)

@@ -409,6 +409,38 @@ def _run_on_corrupt_store(tmp_path: Path) -> list[str]:
     ]
 
 
+def _store_with(tmp_path: Path, record: dict) -> Path:
+    store = RunStore.open(tmp_path / "s.jsonl")
+    store.append_outcome(ExecutionOutcome("p", "a.R", "R1", "raw", "success"))
+    store.close()
+    with open(tmp_path / "s.jsonl", "a", encoding="utf-8") as fh:
+        fh.write(json.dumps(record) + "\n")
+    return tmp_path / "s.jsonl"
+
+
+def _report_on_package_without_id(tmp_path: Path) -> list[str]:
+    store_path = _store_with(tmp_path, {"kind": "package", "title": "no id"})
+    return ["report", "--store", str(store_path), "--out", str(tmp_path / "o")]
+
+
+def _run_on_completed_event_without_mode(tmp_path: Path) -> list[str]:
+    make_package(tmp_path / "corpus", "pkg", {"a.R": "x <- 1\n"})
+    store_path = _store_with(tmp_path, {"kind": "package_event", "package_id": "p", "event": "completed"})
+    return [
+        "run", "--corpus", str(tmp_path / "corpus"), "--store", str(store_path), "--stub",
+        "--scratch", str(tmp_path / "scratch"),
+    ]
+
+
+def _run_with_interpreter_lacking_script(tmp_path: Path) -> list[str]:
+    make_package(tmp_path / "corpus", "pkg", {"a.R": "x <- 1\n"})
+    (tmp_path / "run.ini").write_text("[interpreter.R2]\ncommand = Rscript\n", encoding="utf-8")
+    return [
+        "run", "--corpus", str(tmp_path / "corpus"), "--store", str(tmp_path / "new.jsonl"),
+        "--config", str(tmp_path / "run.ini"), "--scratch", str(tmp_path / "scratch"),
+    ]
+
+
 def _analyze_out_under_a_file(tmp_path: Path) -> list[str]:
     make_package(tmp_path / "corpus", "pkg", {"a.R": "x <- 1\n"})
     (tmp_path / "f").write_text("", encoding="utf-8")
@@ -435,11 +467,15 @@ def _ingest_missing_local_dir(tmp_path: Path) -> list[str]:
         (_run_on_corrupt_store, 6, False),
         (_analyze_out_under_a_file, 4, False),
         (_report_on_disjoint_modes, 6, False),
+        (_report_on_package_without_id, 6, False),
+        (_run_on_completed_event_without_mode, 6, False),
+        (_run_with_interpreter_lacking_script, 5, False),
         (_ingest_missing_local_dir, 2, True),
     ],
     ids=[
         "manifest-not-json", "manifest-without-id", "run-corrupt-store", "out-not-writable",
-        "report-disjoint-modes", "missing-local-dir",
+        "report-disjoint-modes", "report-package-without-id", "run-completed-without-mode",
+        "run-interpreter-without-script", "missing-local-dir",
     ],
 )
 def test_hostile_input_exits_with_documented_code(tmp_path: Path, capsys, make_argv, code: int, via_shell: bool):
@@ -459,7 +495,26 @@ def test_hostile_input_exits_with_documented_code(tmp_path: Path, capsys, make_a
     assert returncode == code
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "Traceback" not in err
-    assert not (tmp_path / "corpus" / "cleaned").exists()  # run fails on its store before it cleans
+    assert not (tmp_path / "corpus" / "cleaned").exists()  # run fails on its config or store before it cleans
+    assert not (tmp_path / "new.jsonl").exists()  # and before it creates a store
+
+
+def test_file_name_that_is_not_utf8_keeps_its_package(tmp_path: Path, capsys):
+    name = os.fsdecode(b"caf\xe9.R")  # a lone surrogate once decoded
+    make_package(tmp_path / "sources", "pkg", {name: "x <- 1\n", "ok.R": "y <- 2\n"})
+    corpus, store_path = tmp_path / "corpus", tmp_path / "s.jsonl"
+    assert main(["ingest", "--dest", str(corpus), "--local", str(tmp_path / "sources" / "pkg")]) == 0
+    capsys.readouterr()
+    assert main([
+        "run", "--corpus", str(corpus), "--store", str(store_path), "--stub", "--jobs", "1",
+        "--scratch", str(tmp_path / "scratch"),
+    ]) == 0
+    assert "recorded 12 outcomes" in capsys.readouterr().out
+    store = RunStore.load(store_path)
+    assert {o.file for o in store.outcomes()} == {name, "ok.R"}
+    assert {o.verdict for o in store.outcomes()} == {"success"}
+    assert store.path.read_bytes().isascii()  # non-ASCII text is written as \uXXXX escapes
+    assert main(["report", "--store", str(store_path), "--out", str(tmp_path / "report")]) == 0
 
 
 def test_readme_exit_codes_match_main():

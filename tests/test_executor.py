@@ -302,6 +302,15 @@ def test_zero_packages_empty_stream(tmp_path: Path):
     assert list(run_matrix([], [stub_spec()], Budget(1, 1), ["raw"], store, tmp_path / "s")) == []
 
 
+def test_run_matrix_checks_interpreters_before_it_writes(tmp_path: Path):
+    manifest = make_package(tmp_path, "pkg", {"a.R": "x <- 1\n"})
+    store = RunStore.open(tmp_path / "store.jsonl")
+    stream = run_matrix([manifest], [stub_spec("a"), stub_spec("a")], Budget(5, 10), ["raw"], store, tmp_path / "s")
+    with pytest.raises(InterpreterConfigError, match="duplicate"):
+        next(stream)
+    assert store.packages() == {} and store.events() == []
+
+
 def test_crashed_worker_isolated_to_its_package(tmp_path: Path, monkeypatch):
     manifests = [
         make_package(tmp_path, "okpkg", {"a.R": "x <- 1\n"}),

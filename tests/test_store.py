@@ -195,16 +195,109 @@ def test_invalid_utf8_before_the_tail_is_store_error_naming_its_line(tmp_path: P
         RunStore.load(path)
 
 
-def test_load_holds_no_copy_of_the_log(tmp_path: Path):
-    path = tmp_path / "s.jsonl"
+def _store_of_10k_outcomes(path: Path) -> Path:
+    """A 10,001-line store over 4 MiB: its config record and 10,000 outcomes of distinct keys."""
     store = RunStore.open(path)
     for i in range(10_000):
         store.append_outcome(ExecutionOutcome(**{**outcome(i).to_dict(), "stderr_tail": "é" * 200}))
     store.close()
     assert path.stat().st_size > 4 * 2**20
+    return path
+
+
+def test_load_holds_no_copy_of_the_log(tmp_path: Path):
+    path = _store_of_10k_outcomes(tmp_path / "s.jsonl")
     loaded, held, peak = traced_memory(lambda: RunStore.load(path))
-    assert len(loaded.records) == 10_001
+    assert len(list(loaded.records)) == 10_001
     assert peak - held < 2**20
+
+
+def test_load_and_outcomes_hold_one_object_per_outcome(tmp_path: Path):
+    path = _store_of_10k_outcomes(tmp_path / "s.jsonl")
+    (loaded, outcomes), held, _ = traced_memory(lambda: (s := RunStore.load(path), s.outcomes()))
+    assert len(outcomes) == 10_000
+    assert held < 10 * 2**20  # one object per outcome, and no dict per record beside it
+
+
+def test_records_reads_every_whole_record_in_log_order(tmp_path: Path):
+    path = tmp_path / "s.jsonl"
+    store = RunStore.open(path, run_id="r1")
+    stale = outcome(1)
+    store.append_outcome(stale)
+    store.append_event("pkg1", "raw", "completed")
+    rerun = ExecutionOutcome(**{**stale.to_dict(), "verdict": "error"})
+    store.append_outcome(rerun)
+    store.close()
+    whole = path.read_bytes()
+    with open(path, "a", encoding="utf-8") as fh:
+        fh.write('{"kind": "outcome", "package_id": "pk')  # a torn tail
+    loaded = RunStore.load(path)
+    views = (loaded.valid_end, loaded.truncated_tail, loaded.outcomes(), loaded.events(), loaded.completed_runs())
+    assert views[:3] == (len(whole), True, [rerun])  # superseded in the views, but not in records
+
+    assert list(loaded.records) == [
+        {"kind": "config", "run_id": "r1", "config": {}},
+        {"kind": "outcome", **stale.to_dict()},
+        {"kind": "package_event", "package_id": "pkg1", "mode": "raw", "event": "completed", "detail": None},
+        {"kind": "outcome", **rerun.to_dict()},
+    ]
+    assert (loaded.valid_end, loaded.truncated_tail, loaded.outcomes(), loaded.events(), loaded.completed_runs()) == views
+
+
+def test_records_reads_the_log_one_line_at_a_time(tmp_path: Path):
+    path = _store_of_10k_outcomes(tmp_path / "s.jsonl")
+    store = RunStore.open(path)
+    n, _, peak = traced_memory(lambda: sum(1 for _ in store.records))
+    store.close()
+    assert n == 10_001
+    assert peak < 2**20
+
+
+def test_open_builds_no_outcome(tmp_path: Path, monkeypatch):
+    path = tmp_path / "s.jsonl"
+    store = RunStore.open(path)
+    for i in range(20):
+        store.append_outcome(outcome(i))
+    store.append_event("pkg1", "raw", "completed")
+    store.close()
+    from_dict, calls = ExecutionOutcome.from_dict, []
+
+    def counting(data):
+        calls.append(data)
+        return from_dict(data)
+
+    monkeypatch.setattr(ExecutionOutcome, "from_dict", counting)
+    resumed = RunStore.open(path)
+    assert resumed.completed_runs() == {("pkg1", "raw")}
+    resumed.append_outcome(outcome(20))
+    assert calls == []  # a resumed run builds no outcome
+    assert len(resumed.outcomes()) == 21 and len(resumed.outcomes()) == 21
+    assert len(calls) == 21  # the first outcomes() builds each once
+    resumed.close()
+
+
+def test_write_that_fails_leaves_the_views_unchanged(tmp_path: Path):
+    store = RunStore.open(tmp_path / "s.jsonl")
+    store.append_outcome(outcome(1))
+
+    class FullDisk:
+        def write(self, line):
+            raise OSError(28, "No space left on device")
+
+        def close(self):
+            pass
+
+    store._fh = FullDisk()
+    views = store.outcomes(), store.packages(), store.events(), store.completed_runs()
+    for record in (
+        {"kind": "outcome", **outcome(2).to_dict()},
+        {"kind": "package", "package_id": "pkg2"},
+        {"kind": "package_event", "package_id": "pkg1", "mode": "raw", "event": "completed"},
+    ):
+        with pytest.raises(OSError):
+            store.append(record)
+    assert (store.outcomes(), store.packages(), store.events(), store.completed_runs()) == views
+    store.close()
 
 
 def test_latest_outcome_of_each_key_wins(tmp_path: Path):
@@ -323,10 +416,44 @@ def test_outcomes_cache_survives_concurrent_appends(tmp_path: Path):
 def test_outcome_record_missing_required_key_is_store_error(tmp_path: Path):
     path = tmp_path / "s.jsonl"
     path.write_text('{"kind": "outcome", "package_id": "p", "file": "a.R"}\n', encoding="utf-8")
-    store = RunStore.load(path)  # loading does not parse outcomes
-    assert len(store.records) == 1
     with pytest.raises(StoreError, match=r"line 1 .*'interpreter_label'"):
-        store.outcomes()
+        RunStore.load(path)
+
+
+def test_opened_store_raises_on_a_malformed_outcome_at_its_first_outcomes(tmp_path: Path):
+    path = tmp_path / "s.jsonl"
+    path.write_text('{"kind": "outcome", "package_id": "p", "file": "a.R"}\n', encoding="utf-8")
+    store = RunStore.open(path)  # the writer does not build outcomes
+    assert len(list(store.records)) == 1
+    for _ in range(2):  # a failed first read leaves no partial view behind
+        with pytest.raises(StoreError, match=r"line 1 .*'interpreter_label'"):
+            store.outcomes()
+    store.close()
+
+
+@pytest.mark.parametrize(
+    "record, key",
+    [
+        ({"kind": "outcome", "package_id": "p", "file": "a.R", "interpreter_label": "R1", "cleaning_mode": "raw"},
+         "verdict"),
+        ({"kind": "package", "title": "no id"}, "package_id"),
+        ({"kind": "package_event", "package_id": "p", "event": "completed"}, "mode"),
+        ({"kind": "package_event", "mode": "raw", "event": "completed"}, "package_id"),
+    ],
+    ids=["outcome-without-verdict", "package-without-id", "completed-without-mode", "completed-without-id"],
+)
+def test_record_lacking_a_key_its_view_needs_is_store_error_naming_its_line(tmp_path: Path, record, key):
+    path = tmp_path / "s.jsonl"
+    lines = [{"kind": "config", "run_id": "r", "config": {}}, record, {"kind": "package_event", "event": "started"}]
+    path.write_text("".join(json.dumps(r) + "\n" for r in lines), encoding="utf-8")
+    with pytest.raises(StoreError, match=f"line 2 .*'{key}'"):
+        RunStore.load(path)
+    store = RunStore.open(tmp_path / "new.jsonl")
+    assert store.outcomes() == []  # from here on, appended outcomes are built too
+    with pytest.raises(StoreError, match=f"appended .*'{key}'"):
+        store.append(record)
+    store.close()
+    assert len(list(store.records)) == 1  # the record was never written
 
 
 def test_record_that_is_not_an_object_is_store_error(tmp_path: Path):
