@@ -206,7 +206,8 @@ def rewrite_paths(text: str) -> tuple[str, list[CleanAction]]:
 
 
 def _library_step(lineno: int, line: str, code: str, actions: list[CleanAction], mirror: str) -> str:
-    if not re.search(r"!\s*require\b", code):
+    # a load call starts a statement of the masked code, so a line naming neither word holds none
+    if ("library" in code or "require" in code) and not re.search(r"!\s*require\b", code):
         replacements: list[tuple[int, int, str, str]] = []
         for start, end in rsource.split_statements(code):
             m = _LOAD_CALL_RE.match(line, start, end)

@@ -20,11 +20,7 @@ from .config import (
     load_config,
     stub_interpreters,
 )
-from .executor import (
-    MODE_CLEANED,
-    InterpreterConfigError,
-    run_matrix,
-)
+from .executor import InterpreterConfigError, run_matrix
 from .ingest import CorpusError, IngestError, package_slug
 from .store import RunStore, StoreError
 
@@ -212,25 +208,6 @@ def cmd_analyze(args) -> int:
     return EXIT_OK
 
 
-def _clean_package(manifest, out_dir: Path, mirror: str, diff: bool = False) -> tuple[int, int]:
-    """Clean one package's R files into out_dir, with clean_reports.json; (actions, failures)."""
-    reports = cleaner.clean_tree(manifest.root, out_dir, mirror, diff)
-    failures = 0
-    for report in reports:
-        if report.error:
-            failures += 1
-            print(f"error: {report.path}: {report.error}", file=sys.stderr)
-    if reports:
-        try:
-            (out_dir / "clean_reports.json").write_text(
-                results.render_json([r.to_dict() for r in reports]), encoding="utf-8"
-            )
-        except OSError as exc:
-            failures += 1
-            print(f"error: cannot write clean reports for {out_dir.name}: {exc}", file=sys.stderr)
-    return sum(len(r.actions) for r in reports), failures
-
-
 def cmd_clean(args) -> int:
     manifests = ingest.discover_corpus(args.corpus)
     out_root = Path(args.out) if args.out else Path(args.corpus) / "cleaned"
@@ -239,9 +216,20 @@ def cmd_clean(args) -> int:
     n_actions = failures = 0
     for manifest in manifests:
         out_dir = out_root / package_slug(manifest.ref.persistent_id)
-        actions, failed = _clean_package(manifest, out_dir, mirror, args.diff)
-        n_actions += actions
-        failures += failed
+        reports = cleaner.clean_tree(manifest.root, out_dir, mirror, args.diff)
+        for report in reports:
+            n_actions += len(report.actions)
+            if report.error:
+                failures += 1
+                print(f"error: {report.path}: {report.error}", file=sys.stderr)
+        if reports:
+            try:
+                (out_dir / "clean_reports.json").write_text(
+                    results.render_json([r.to_dict() for r in reports]), encoding="utf-8"
+                )
+            except OSError as exc:
+                failures += 1
+                print(f"error: cannot write clean reports for {out_dir.name}: {exc}", file=sys.stderr)
     print(f"cleaned {len(manifests)} packages into {out_root} ({n_actions} rewrite actions)")
     return EXIT_WRITE if failures else EXIT_OK
 
@@ -273,16 +261,8 @@ def cmd_run(args) -> int:
     store_path = Path(config.store_path)
     if args.force and store_path.exists():
         store_path.unlink()
-    store = RunStore.open(store_path, config=config.snapshot())  # a bad store fails before anything is cleaned
+    store = RunStore.open(store_path, config=config.snapshot())
     try:
-        cleaned_root = Path(args.corpus) / "cleaned"
-        if MODE_CLEANED in config.modes:
-            for manifest in runnable:
-                out_dir = cleaned_root / package_slug(manifest.ref.persistent_id)
-                missing = {e.relative_path for e in manifest.r_files() if not (out_dir / e.relative_path).is_file()}
-                if missing - manifest.unfetched():  # a never-fetched file has no cleaned copy to miss
-                    _clean_package(manifest, out_dir, config.cran_mirror)
-
         # excluded packages stay visible in reports, with their fetch status
         known_packages = store.package_ids()
         for manifest in excluded:
@@ -298,7 +278,7 @@ def cmd_run(args) -> int:
             config.modes,
             store,
             Path(config.scratch_root),
-            cleaned_root=cleaned_root,
+            cran_mirror=config.cran_mirror,
             jobs=config.jobs,
             network_allowed=config.network_allowed,
             keep_workspaces=args.keep_workspaces,

@@ -3,7 +3,8 @@
 The unit of work is one package under one cleaning mode: ``run_matrix``
 schedules units over a thread pool, and the store marks each finished
 unit with one event, which is what a resumed run skips. Inside a unit,
-each interpreter gets a fresh copy of the package directory; files
+each interpreter gets a fresh copy of the package directory, whose R
+files the cleaned mode cleans from the package's own sources; files
 execute sequentially in lexicographic filename order against a per-file
 wall-clock budget and a cumulative per-package budget. Each child runs in its own process group. Its exit
 is awaited on a pidfd (Linux), so it is seen as soon as it happens; where
@@ -29,7 +30,7 @@ from concurrent.futures import ThreadPoolExecutor, as_completed
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
-from . import rsource
+from . import cleaner
 from .ingest import PackageManifest, from_fields, package_slug
 
 VERDICT_SUCCESS = "success"
@@ -280,8 +281,9 @@ def execute_file(
 
 
 def _populate_workspace(
-    manifest: PackageManifest, workspace: Path, mode: str, cleaned_dir: Path | None, unfetched: set[str]
+    manifest: PackageManifest, workspace: Path, cleaned: dict[str, str], unfetched: set[str]
 ) -> None:
+    """Copy the package's fetched files into a fresh workspace, writing the cleaned text of those it has."""
     try:
         if workspace.exists():
             shutil.rmtree(workspace)
@@ -291,17 +293,14 @@ def _populate_workspace(
             if entry.relative_path in unfetched:
                 continue  # recorded download failure, nothing to copy
             src = root / entry.relative_path
-            if mode == MODE_CLEANED and rsource.is_r_source(entry.relative_path):
-                src = (cleaned_dir or Path("")) / entry.relative_path
-                if cleaned_dir is None or not src.is_file():
-                    raise WorkspaceError(
-                        f"no cleaned output for {entry.relative_path} of {manifest.ref.persistent_id}"
-                    )
-            elif not src.is_file():
-                raise WorkspaceError(f"missing package file {src}")
             dest = workspace / entry.relative_path
             dest.parent.mkdir(parents=True, exist_ok=True)
-            shutil.copyfile(src, dest)
+            if entry.relative_path in cleaned:
+                dest.write_text(cleaned[entry.relative_path], encoding="utf-8")
+            elif src.is_file():
+                shutil.copyfile(src, dest)
+            else:
+                raise WorkspaceError(f"missing package file {src}")
     except OSError as exc:
         raise WorkspaceError(f"workspace setup failed for {manifest.ref.persistent_id}: {exc}") from exc
 
@@ -313,18 +312,20 @@ def execute_package(
     mode: str,
     scratch_root: Path | str,
     *,
-    cleaned_dir: Path | None = None,
+    cran_mirror: str = cleaner.DEFAULT_CRAN_MIRROR,
     keep_workspaces: bool = False,
     network_allowed: bool = True,
     on_outcome=None,
 ) -> list[ExecutionOutcome]:
     """Run every R file of one package under every interpreter.
 
-    Files run in lexicographic filename order. The per-package budget is
-    cumulative per (interpreter x mode) workspace; once it is exhausted
-    the remaining files get explicit "unassigned" outcomes rather than
-    silently vanishing. So does a file whose download failed, which is
-    never run.
+    In cleaned mode each fetched R file is read and cleaned once, with
+    ``cran_mirror`` injected into install calls, and every interpreter's
+    workspace gets that text. Files run in lexicographic filename order.
+    The per-package budget is cumulative per (interpreter x mode)
+    workspace; once it is exhausted the remaining files get explicit
+    "unassigned" outcomes rather than silently vanishing. So does a file
+    whose download failed, which is never run.
     """
     scratch_root = Path(scratch_root)
     slug = package_slug(manifest.ref.persistent_id)
@@ -332,11 +333,20 @@ def execute_package(
     extra_env = None if network_allowed else no_network_env()
     r_entries = manifest.r_files()
     unfetched = manifest.unfetched()
+    cleaned: dict[str, str] = {}  # relative path -> cleaned text, the same for every workspace
+    if mode == MODE_CLEANED:
+        try:
+            for entry in r_entries:
+                if entry.relative_path not in unfetched:
+                    raw = (Path(manifest.root) / entry.relative_path).read_bytes()
+                    cleaned[entry.relative_path] = cleaner.clean_text(raw, cran_mirror)[0]
+        except OSError as exc:
+            raise WorkspaceError(f"workspace setup failed for {pid}: {exc}") from exc
 
     outcomes: list[ExecutionOutcome] = []
     for interpreter in interpreters:
         workspace = scratch_root / f"{slug}__{interpreter.label}__{mode}"
-        _populate_workspace(manifest, workspace, mode, cleaned_dir, unfetched)
+        _populate_workspace(manifest, workspace, cleaned, unfetched)
         try:
             remaining = float(budget.per_package)
             for entry in r_entries:
@@ -377,7 +387,7 @@ def run_matrix(
     store,
     scratch_root: Path | str,
     *,
-    cleaned_root: Path | str | None = None,
+    cran_mirror: str = cleaner.DEFAULT_CRAN_MIRROR,
     jobs: int = 1,
     network_allowed: bool = True,
     keep_workspaces: bool = False,
@@ -412,9 +422,6 @@ def run_matrix(
 
     def run_unit(manifest: PackageManifest, mode: str) -> list[ExecutionOutcome]:
         pid = manifest.ref.persistent_id
-        cleaned_dir = None
-        if mode == MODE_CLEANED and cleaned_root is not None:
-            cleaned_dir = Path(cleaned_root) / package_slug(pid)
         outcomes: list[ExecutionOutcome] = []
         try:
             execute_package(
@@ -423,7 +430,7 @@ def run_matrix(
                 budget,
                 mode,
                 scratch_root,
-                cleaned_dir=cleaned_dir,
+                cran_mirror=cran_mirror,
                 keep_workspaces=keep_workspaces,
                 network_allowed=network_allowed,
                 on_outcome=lambda oc: (store.append_outcome(oc), outcomes.append(oc)),

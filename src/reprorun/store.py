@@ -14,11 +14,12 @@ read last held back until the next one shows it is not the final line,
 so a read holds one line of the file, not the whole log. No list of
 records is kept: each whole record, read or appended, is routed once by
 its kind into the one view that needs it. A record that lacks a key its
-view needs is a StoreError naming its line; an appended one is not
-written. Outcome records become ``ExecutionOutcome`` objects, the latest
-of each (package, file, interpreter, mode) winning, for readers only:
-``load`` builds them as it reads, while ``open``, the writer's entry
-point, skips them and reads them only if ``outcomes()`` is called.
+view needs, or holds a list or an object there, is a StoreError naming
+its line; an appended one is not written. Outcome records become
+``ExecutionOutcome`` objects, the latest of each (package, file,
+interpreter, mode) winning, for readers only: ``load`` builds them as
+it reads, while ``open``, the writer's entry point, skips them and
+reads them only if ``outcomes()`` is called.
 """
 
 from __future__ import annotations
@@ -135,10 +136,12 @@ class RunStore:
     def _route(self, record: dict, number: int | None = None, write: Callable | None = None) -> None:
         """Put one whole record into the view its kind feeds, after ``write`` when one is given.
 
-        A record that lacks a key its view needs is a StoreError naming
-        its line, raised before ``write`` is called.
+        A record that lacks a key its view needs, or whose key fields
+        cannot be hashed, is a StoreError naming its line, raised before
+        ``write`` is called.
         """
         kind = record.get("kind")
+        key = None
         try:
             if kind == KIND_OUTCOME and self._outcomes is not None:
                 outcome = ExecutionOutcome.from_dict(record)
@@ -147,9 +150,11 @@ class RunStore:
                 key = record["package_id"]
             elif kind == KIND_EVENT and record.get("event") == EVENT_COMPLETED:
                 key = record["package_id"], record["mode"]
-        except KeyError as exc:
+            hash(key)  # a list or an object in a key field cannot index a view
+        except (KeyError, TypeError) as exc:
             at = f"at line {number} of" if number else "appended to"
-            raise StoreError(f"{kind} record {at} {self.path} lacks key {exc.args[0]!r}") from None
+            fault = f"lacks key {exc.args[0]!r}" if isinstance(exc, KeyError) else f"has an unhashable key ({exc})"
+            raise StoreError(f"{kind} record {at} {self.path} {fault}") from None
         if write is not None:
             write()
         if kind == KIND_OUTCOME:
@@ -176,7 +181,7 @@ class RunStore:
     def append(self, record: dict) -> None:
         """Append one record; a single write so concurrent producers interleave whole lines.
 
-        A record that lacks a key its view needs is never written, and a
+        A record that its view cannot take is never written, and a
         record enters its view only once its write has returned.
         """
         line = json.dumps(record, sort_keys=True) + "\n"

@@ -4,10 +4,25 @@ import tracemalloc
 from pathlib import Path
 
 import pytest
+from hypothesis import strategies as st
 
 from reprorun.config import stub_interpreters
 from reprorun.executor import InterpreterSpec
 from reprorun.ingest import PackageManifest, load_local_package
+
+
+# Lines joined from R fragments that hold quotes, '#', ';', '=', '<-' and the words the
+# per-line scans look for, so literals, comments and statements cut through every scan.
+R_FRAGMENT_LINES = st.lists(
+    st.lists(
+        st.sampled_from([
+            "library", "require", "function", "install.packages", "(", ")", "{", "}", '"', "'", '"pkg"', "#", ";",
+            "=", "==", "<-", "<<-", "!", ",", "$", " ", "x", "f", "\t", "f <- function (", "g = function(x) ",
+        ]),
+        max_size=14,
+    ).map("".join),
+    max_size=8,
+).map("\n".join)
 
 
 def stub_spec(label: str = "stubR", preinstalled: str = "", repo: str = "") -> InterpreterSpec:

@@ -18,7 +18,7 @@ from pathlib import Path
 import pytest
 
 from reprorun import rsource
-from reprorun.cleaner import clean_text, clean_tree, rewrite_library_loads, rewrite_paths
+from reprorun.cleaner import clean_text, rewrite_library_loads, rewrite_paths
 from reprorun.executor import (
     Budget,
     ExecutionOutcome,
@@ -28,7 +28,6 @@ from reprorun.executor import (
     no_network_env,
     run_matrix,
 )
-from reprorun.ingest import package_slug
 from reprorun.metrics import analyze_package, analyze_r_file, corpus_stats
 from reprorun.results import (
     aggregate_dataset,
@@ -161,14 +160,11 @@ def test_c4_budget_enforcement(tmp_path: Path):
 def _run_demo(tmp_path: Path, jobs: int, modes: list[str], interpreters, tag: str):
     corpus = tmp_path / f"corpus-{tag}"
     manifests = make_demo_corpus(corpus)
-    cleaned_root = tmp_path / f"cleaned-{tag}"
-    for manifest in manifests:
-        clean_tree(manifest.root, cleaned_root / package_slug(manifest.ref.persistent_id))
     store = RunStore.open(tmp_path / f"store-{tag}.jsonl")
     outcomes = list(
         run_matrix(
             manifests, interpreters, Budget(1.0, 5.0), modes, store,
-            tmp_path / f"scratch-{tag}", cleaned_root=cleaned_root, jobs=jobs,
+            tmp_path / f"scratch-{tag}", jobs=jobs,
         )
     )
     store.close()

@@ -1,10 +1,13 @@
 from __future__ import annotations
 
+import re
+from functools import partial
 from pathlib import Path
 
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from reprorun import cleaner, rsource
 from reprorun.cleaner import (
     DEFAULT_CRAN_MIRROR,
     ENCODING_NORMALIZED,
@@ -19,6 +22,8 @@ from reprorun.cleaner import (
     rewrite_paths,
     rewrite_setwd,
 )
+
+from conftest import R_FRAGMENT_LINES
 
 MIRROR = DEFAULT_CRAN_MIRROR
 
@@ -357,3 +362,51 @@ def test_clean_text_equals_the_three_rewrites_in_sequence(lines):
     text, path_actions = rewrite_paths(text)
     text, lib_actions = rewrite_library_loads(text, MIRROR)
     assert clean_text(raw, MIRROR)[:2] == (text, setwd_actions + path_actions + lib_actions)
+
+
+def oracle_library_step(lineno, line, code, actions, mirror):
+    """``_library_step`` before its word filter, kept as its oracle: the guard scan runs on every code line."""
+    if not re.search(r"!\s*require\b", code):
+        replacements = []
+        for start, end in rsource.split_statements(code):
+            m = cleaner._LOAD_CALL_RE.match(line, start, end)
+            if not m:
+                continue
+            call_start = m.start(1)
+            open_idx = m.end() - 1
+            close = rsource.matching_paren(code, open_idx)
+            if close is None or close >= end:
+                continue
+            if line[close + 1 : end].strip():
+                continue
+            arg_end = rsource.first_argument_end(code, open_idx + 1, close)
+            pkg = rsource.package_name(line[open_idx + 1 : arg_end])
+            if pkg is None:
+                continue
+            original = line[call_start : close + 1]
+            guard = f'if (!require("{pkg}")) install.packages("{pkg}", repos="{mirror}"); {original}'
+            replacements.append((call_start, close + 1, original, guard))
+        for start, end, before, after in reversed(replacements):
+            line = line[:start] + after + line[end:]
+            actions.append(cleaner.CleanAction(LIBRARY_GUARDED, lineno, before, after))
+        if replacements:
+            code = rsource.masked_code(line)
+    for _, name_start, open_idx in reversed(rsource.find_calls(code, ("install.packages",))):
+        close = rsource.matching_paren(code, open_idx)
+        if close is None:
+            continue
+        if cleaner._REPOS_ARG_RE.search(code, open_idx + 1, close):
+            continue
+        before = line[name_start : close + 1]
+        injected = f', repos="{mirror}"' if line[open_idx + 1 : close].strip() else f'repos="{mirror}"'
+        line = line[:close] + injected + line[close:]
+        after = line[name_start : close + 1 + len(injected)]
+        actions.append(cleaner.CleanAction(MIRROR_INJECTED, lineno, before, after))
+    return line
+
+
+@settings(max_examples=300)
+@given(st.one_of(R_FRAGMENT_LINES, st.lists(_line, max_size=12).map("\n".join)))
+def test_library_word_filter_matches_the_unfiltered_guard_scan(text):
+    steps = cleaner._setwd_step, cleaner._paths_step, partial(oracle_library_step, mirror=MIRROR)
+    assert clean_text(text.encode(), MIRROR)[:2] == cleaner._rewrite(text, *steps)

@@ -162,7 +162,7 @@ def test_analyze_counts_never_fetched_r_file_unknown(tmp_path: Path):
     assert census["encoding_histogram"] == {"ascii": 1, "unknown": 1}
 
 
-def test_run_include_partial_leaves_never_fetched_file_unassigned(tmp_path: Path, monkeypatch):
+def test_run_include_partial_leaves_never_fetched_file_unassigned(tmp_path: Path):
     corpus = _partial_corpus(tmp_path)
     store_path = tmp_path / "store.jsonl"
     argv = [
@@ -179,17 +179,72 @@ def test_run_include_partial_leaves_never_fetched_file_unassigned(tmp_path: Path
         ("b.R", "raw"): {"unassigned"}, ("b.R", "cleaned"): {"unassigned"},
     }
     assert {e["event"] for e in store.events()} == {"completed"}
-    assert (corpus / "cleaned" / "local_half" / "clean_reports.json").is_file()
+    assert not (corpus / "cleaned").exists()
 
     report_dir = tmp_path / "report"
     assert main(["report", "--store", str(store_path), "--out", str(report_dir)]) == 0
     report = json.loads((report_dir / "report.json").read_text())
     assert [m["file_rate"]["denominator"] for m in report["modes"]] == [1, 1]
 
-    reclean = []
-    monkeypatch.setattr(cleaner, "clean_tree", lambda *args, **kwargs: reclean.append(args) or [])
-    assert main(argv + ["--force"]) == 0
-    assert reclean == []  # the cleaned tree is complete without the never-fetched file
+
+def _ingest_packages(tmp_path: Path, packages: dict[str, dict[str, str]]) -> Path:
+    corpus = tmp_path / "corpus"
+    for name, files in packages.items():
+        make_package(tmp_path / "sources", name, files)
+        assert main(["ingest", "--dest", str(corpus), "--local", str(tmp_path / "sources" / name)]) == 0
+    return corpus
+
+
+def _run_outcomes(corpus: Path, tmp_path: Path, tag: str, *flags: str) -> dict:
+    store_path = tmp_path / f"{tag}.jsonl"
+    assert main([
+        "run", "--corpus", str(corpus), "--store", str(store_path), "--stub", "--stub-repo", "dplyr",
+        "--budget-file", "2", "--budget-package", "5", "--scratch", str(tmp_path / f"scratch-{tag}"), *flags,
+    ]) == 0
+    return {
+        (o.package_id, o.file, o.interpreter_label, o.cleaning_mode): (o.verdict, o.error_category, o.exit_code)
+        for o in RunStore.load(store_path).outcomes()
+    }
+
+
+def test_run_cleans_a_corpus_that_was_never_cleaned(tmp_path: Path):
+    names = ("pkg-setwd", "pkg-library", "pkg-object")
+    corpus = _ingest_packages(tmp_path, {name: DEMO_PACKAGES[name] for name in names})
+    first = _run_outcomes(corpus, tmp_path, "first", "--modes", "cleaned", "--keep-workspaces")
+    assert not (corpus / "cleaned").exists()
+    assert sorted(v[:2] for v in first.values()) == [("error", "object_not_found")] * 3 + [("success", None)] * 6
+
+    assert main(["clean", "--corpus", str(corpus)]) == 0
+    assert _run_outcomes(corpus, tmp_path, "after-clean", "--modes", "cleaned") == first
+    cleaned = sorted((corpus / "cleaned").rglob("*.R"))
+    assert len(cleaned) == 3
+    for script in cleaned:  # every kept workspace holds the script `clean` writes
+        workspaces = sorted((tmp_path / "scratch-first").glob(f"{script.parent.name}__*__cleaned"))
+        assert len(workspaces) == 3
+        assert all((w / script.name).read_bytes() == script.read_bytes() for w in workspaces)
+
+
+def test_stale_cleaned_tree_changes_no_verdict(tmp_path: Path):
+    corpus = _ingest_packages(tmp_path, {"pkg": {"a.R": 'setwd("/no/such/dir")\nx <- 1\n'}})
+    first = _run_outcomes(corpus, tmp_path, "first")
+    assert {key[3]: value[0] for key, value in first.items()} == {"raw": "error", "cleaned": "success"}
+    stale = corpus / "cleaned" / "local_pkg" / "a.R"
+    stale.parent.mkdir(parents=True, exist_ok=True)
+    stale.write_text('stop("stale")\n', encoding="utf-8")
+    assert _run_outcomes(corpus, tmp_path, "stale") == first
+    assert stale.read_text(encoding="utf-8") == 'stop("stale")\n'
+
+
+def test_run_config_mirror_reaches_the_cleaned_scripts(tmp_path: Path):
+    corpus = _ingest_packages(tmp_path, {"pkg": {"a.R": "library(dplyr)\nx <- 1\n"}})
+    (tmp_path / "run.ini").write_text("[run]\ncran_mirror = http://mirror.example\n", encoding="utf-8")
+    flags = ["--config", str(tmp_path / "run.ini"), "--modes", "cleaned", "--keep-workspaces"]
+    _run_outcomes(corpus, tmp_path, "s", *flags)
+    scripts = sorted((tmp_path / "scratch-s").glob("local_pkg__*__cleaned/a.R"))
+    assert len(scripts) == 3
+    assert all('repos="http://mirror.example"' in p.read_text(encoding="utf-8") for p in scripts)
+    assert RunStore.load(tmp_path / "s.jsonl").config["cran_mirror"] == "http://mirror.example"
+    assert not (corpus / "cleaned").exists()
 
 
 def test_run_lists_store_packages_once(tmp_path: Path, monkeypatch):
@@ -432,6 +487,30 @@ def _run_on_completed_event_without_mode(tmp_path: Path) -> list[str]:
     ]
 
 
+def _run_on_package_id_list(tmp_path: Path) -> list[str]:
+    make_package(tmp_path / "corpus", "pkg", {"a.R": "x <- 1\n"})
+    store_path = _store_with(tmp_path, {"kind": "package", "package_id": ["x"]})
+    return ["run", "--corpus", str(tmp_path / "corpus"), "--store", str(store_path), "--stub"]
+
+
+def _report_on_package_id_list(tmp_path: Path) -> list[str]:
+    store_path = _store_with(tmp_path, {"kind": "package", "package_id": ["x"]})
+    return ["report", "--store", str(store_path), "--out", str(tmp_path / "o")]
+
+
+def _completed_mode_list(tmp_path: Path) -> Path:
+    return _store_with(tmp_path, {"kind": "package_event", "package_id": "p", "mode": ["raw"], "event": "completed"})
+
+
+def _run_on_completed_mode_list(tmp_path: Path) -> list[str]:
+    make_package(tmp_path / "corpus", "pkg", {"a.R": "x <- 1\n"})
+    return ["run", "--corpus", str(tmp_path / "corpus"), "--store", str(_completed_mode_list(tmp_path)), "--stub"]
+
+
+def _report_on_completed_mode_list(tmp_path: Path) -> list[str]:
+    return ["report", "--store", str(_completed_mode_list(tmp_path)), "--out", str(tmp_path / "o")]
+
+
 def _run_with_interpreter_lacking_script(tmp_path: Path) -> list[str]:
     make_package(tmp_path / "corpus", "pkg", {"a.R": "x <- 1\n"})
     (tmp_path / "run.ini").write_text("[interpreter.R2]\ncommand = Rscript\n", encoding="utf-8")
@@ -469,12 +548,17 @@ def _ingest_missing_local_dir(tmp_path: Path) -> list[str]:
         (_report_on_disjoint_modes, 6, False),
         (_report_on_package_without_id, 6, False),
         (_run_on_completed_event_without_mode, 6, False),
+        (_run_on_package_id_list, 6, False),
+        (_report_on_package_id_list, 6, False),
+        (_run_on_completed_mode_list, 6, False),
+        (_report_on_completed_mode_list, 6, False),
         (_run_with_interpreter_lacking_script, 5, False),
         (_ingest_missing_local_dir, 2, True),
     ],
     ids=[
         "manifest-not-json", "manifest-without-id", "run-corrupt-store", "out-not-writable",
         "report-disjoint-modes", "report-package-without-id", "run-completed-without-mode",
+        "run-package-id-list", "report-package-id-list", "run-completed-mode-list", "report-completed-mode-list",
         "run-interpreter-without-script", "missing-local-dir",
     ],
 )
@@ -495,7 +579,7 @@ def test_hostile_input_exits_with_documented_code(tmp_path: Path, capsys, make_a
     assert returncode == code
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "Traceback" not in err
-    assert not (tmp_path / "corpus" / "cleaned").exists()  # run fails on its config or store before it cleans
+    assert not (tmp_path / "corpus" / "cleaned").exists()  # run writes no cleaned tree
     assert not (tmp_path / "new.jsonl").exists()  # and before it creates a store
 
 

@@ -222,13 +222,24 @@ def test_package_execution_deterministic(tmp_path: Path):
     assert verdicts() == verdicts()
 
 
-def test_cleaned_mode_requires_cleaner_output(tmp_path: Path):
-    manifest = make_package(tmp_path, "needsclean", {"a.R": "x <- 1\n"})
-    with pytest.raises(WorkspaceError):
-        execute_package(
-            manifest, [stub_spec()], Budget(5, 10), "cleaned", tmp_path / "scratch",
-            cleaned_dir=tmp_path / "nonexistent",
-        )
+def test_cleaned_mode_cleans_the_package_sources(tmp_path: Path):
+    manifest = make_package(tmp_path / "src", "needsclean", {"a.R": 'setwd("/no/such/dir")\nx <- 1\n'})
+    raw, cleaned = (
+        execute_package(manifest, [stub_spec()], Budget(5, 10), mode, tmp_path / "scratch")
+        for mode in ("raw", "cleaned")
+    )
+    assert [(o.verdict, o.error_category) for o in raw] == [("error", "setwd")]
+    assert [(o.verdict, o.error_category) for o in cleaned] == [("success", None)]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["scratch", "src"]  # no cleaned tree anywhere
+    assert sorted(p.name for p in (tmp_path / "src" / "needsclean").iterdir()) == ["a.R"]
+
+
+def test_unreadable_r_file_in_cleaned_mode_is_a_workspace_failure(tmp_path: Path):
+    manifest = make_package(tmp_path, "gone", {"a.R": "x <- 1\n"})
+    (tmp_path / "gone" / "a.R").unlink()
+    for mode in ("raw", "cleaned"):
+        with pytest.raises(WorkspaceError):
+            execute_package(manifest, [stub_spec()], Budget(5, 10), mode, tmp_path / "scratch")
 
 
 def test_workspace_destroyed_unless_keep(tmp_path: Path):
@@ -258,6 +269,7 @@ def test_isolation_concurrent_divergent_data(tmp_path: Path):
             jobs=2, keep_workspaces=True,
         )
     )
+    store.close()
     assert Counter(o.verdict for o in outcomes) == Counter({"success": 2})
     assert (scratch / "local_iso-a__stubR__raw" / "output.txt").read_text() == "AAA\n"
     assert (scratch / "local_iso-b__stubR__raw" / "output.txt").read_text() == "BBB\n"
@@ -300,6 +312,7 @@ def test_parallel_matches_serial(tmp_path: Path):
 def test_zero_packages_empty_stream(tmp_path: Path):
     store = RunStore.open(tmp_path / "store.jsonl")
     assert list(run_matrix([], [stub_spec()], Budget(1, 1), ["raw"], store, tmp_path / "s")) == []
+    store.close()
 
 
 def test_run_matrix_checks_interpreters_before_it_writes(tmp_path: Path):
@@ -308,6 +321,7 @@ def test_run_matrix_checks_interpreters_before_it_writes(tmp_path: Path):
     stream = run_matrix([manifest], [stub_spec("a"), stub_spec("a")], Budget(5, 10), ["raw"], store, tmp_path / "s")
     with pytest.raises(InterpreterConfigError, match="duplicate"):
         next(stream)
+    store.close()
     assert store.packages() == {} and store.events() == []
 
 
@@ -328,6 +342,7 @@ def test_crashed_worker_isolated_to_its_package(tmp_path: Path, monkeypatch):
     outcomes = list(
         run_matrix(manifests, [stub_spec()], Budget(5, 10), ["raw"], store, tmp_path / "s", jobs=2)
     )
+    store.close()
     assert {o.package_id for o in outcomes} == {"local:okpkg"}
     events = {(e["package_id"], e["event"]) for e in store.events()}
     assert ("local:doomed", "infrastructure_failure") in events
@@ -341,6 +356,7 @@ def test_workspace_failure_recorded_as_package_fatal(tmp_path: Path):
     outcomes = list(
         run_matrix([manifest], [stub_spec()], Budget(5, 10), ["raw"], store, tmp_path / "s")
     )
+    store.close()
     assert outcomes == []
     assert [e["event"] for e in store.events()] == ["workspace_failure"]
 
@@ -355,6 +371,7 @@ def test_resume_skips_completed_runs(tmp_path: Path):
     outcomes = list(
         run_matrix(manifests, [stub_spec()], Budget(5, 10), ["raw"], store, tmp_path / "s")
     )
+    store.close()
     assert {o.package_id for o in outcomes} == {"local:todo"}
 
 

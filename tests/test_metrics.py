@@ -3,12 +3,14 @@ from __future__ import annotations
 import builtins
 import re
 import statistics
+import tempfile
+from collections import Counter
 from pathlib import Path
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from reprorun import cli, results
+from reprorun import cli, metrics, results
 from reprorun.cleaner import normalize_encoding
 from reprorun.metrics import (
     PackageCensus,
@@ -21,7 +23,7 @@ from reprorun.metrics import (
 )
 from reprorun import rsource
 
-from conftest import make_package, traced_memory
+from conftest import R_FRAGMENT_LINES, make_package, traced_memory
 
 # Hand-counted fixture: 10 physical lines, 2 comment-only, 0 blank, 8 code.
 TEN_LINE_FIXTURE = (
@@ -308,6 +310,36 @@ def oracle_eq_targets(masked: str) -> list[str]:
 @given(st.text(alphabet=list("()[]{}=!<>$@;, \tax_.1"), max_size=60))
 def test_eq_targets_match_character_loop_oracle(masked):
     assert _statement_level_eq_targets(masked) == oracle_eq_targets(masked)
+
+
+def oracle_line_scans(text: str) -> dict:
+    """The ``FileMetrics`` fields of ``analyze_r_file``'s line loop, every scan run on every code line: its oracle."""
+    kinds, functions, classes, variables, packages = Counter(), 0, 0, [], []
+    for _, line, code in rsource.code_lines(rsource.split_lines(text), kinds):
+        functions += len(metrics._FUNCTION_DEF_RE.findall(code))
+        classes += len(rsource.find_calls(code, metrics._CLASS_CALLS))
+        variables.extend(metrics._ARROW_ASSIGN_RE.findall(code))
+        variables.extend(_statement_level_eq_targets(code))
+        packages.extend(metrics._load_call_packages(line, code))
+    names = list(dict.fromkeys(variables))
+    dependencies, skips = metrics._dependency_summary(packages)
+    return {
+        "code_lines": kinds[rsource.CODE], "comment_lines": kinds[rsource.COMMENT], "blank_lines": kinds[rsource.BLANK],
+        "function_count": functions, "class_count": classes, "variable_names": names,
+        "mean_variable_name_length": sum(map(len, names)) / len(names) if names else None,
+        "dependencies": dependencies, "dependency_scan_skips": skips,
+    }
+
+
+@settings(max_examples=300)
+@given(R_FRAGMENT_LINES)
+def test_line_scan_filters_match_the_unfiltered_loop(text):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "a.R"
+        path.write_text(text, encoding="utf-8")
+        fm = analyze_r_file(path).to_dict()
+    expected = oracle_line_scans(text)
+    assert {key: fm[key] for key in expected} == expected
 
 
 def test_census_pure_function_of_directory(tmp_path: Path):

@@ -222,6 +222,7 @@ def _store_with(tmp_path: Path, outcomes, packages) -> RunStore:
         )
     for oc in outcomes:
         store.append_outcome(oc)
+    store.close()
     return store
 
 

@@ -279,6 +279,7 @@ def test_open_builds_no_outcome(tmp_path: Path, monkeypatch):
 def test_write_that_fails_leaves_the_views_unchanged(tmp_path: Path):
     store = RunStore.open(tmp_path / "s.jsonl")
     store.append_outcome(outcome(1))
+    store.close()  # the failing writer below replaces the file handle
 
     class FullDisk:
         def write(self, line):
@@ -367,6 +368,7 @@ def test_outcomes_filter_by_mode(tmp_path: Path):
     assert len(store.outcomes("raw")) == 1
     assert len(store.outcomes("cleaned")) == 1
     assert len(store.outcomes()) == 2
+    store.close()
 
 
 def test_outcomes_include_records_appended_after_first_call(tmp_path: Path):
@@ -451,6 +453,30 @@ def test_record_lacking_a_key_its_view_needs_is_store_error_naming_its_line(tmp_
     store = RunStore.open(tmp_path / "new.jsonl")
     assert store.outcomes() == []  # from here on, appended outcomes are built too
     with pytest.raises(StoreError, match=f"appended .*'{key}'"):
+        store.append(record)
+    store.close()
+    assert len(list(store.records)) == 1  # the record was never written
+
+
+@pytest.mark.parametrize(
+    "record",
+    [
+        {"kind": "outcome", "package_id": "p", "file": ["a.R"], "interpreter_label": "R1", "cleaning_mode": "raw",
+         "verdict": "success"},
+        {"kind": "package", "package_id": ["x"]},
+        {"kind": "package_event", "package_id": "p", "mode": ["raw"], "event": "completed"},
+    ],
+    ids=["outcome-file-list", "package-id-list", "completed-mode-list"],
+)
+def test_record_with_an_unhashable_key_field_is_store_error_naming_its_line(tmp_path: Path, record):
+    path = tmp_path / "s.jsonl"
+    lines = [{"kind": "config", "run_id": "r", "config": {}}, record]
+    path.write_text("".join(json.dumps(r) + "\n" for r in lines), encoding="utf-8")
+    with pytest.raises(StoreError, match="line 2 .*unhashable"):
+        RunStore.load(path)
+    store = RunStore.open(tmp_path / "new.jsonl")
+    assert store.outcomes() == []  # from here on, appended outcomes are built too
+    with pytest.raises(StoreError, match="appended .*unhashable"):
         store.append(record)
     store.close()
     assert len(list(store.records)) == 1  # the record was never written
