@@ -25,6 +25,7 @@ from functools import partial
 from pathlib import Path
 
 from . import rsource
+from .ingest import PackageManifest
 
 DEFAULT_CRAN_MIRROR = "http://cran.us.r-project.org"
 
@@ -283,13 +284,17 @@ def clean_file(
 
     The file is read and decoded once. With ``diff``, a file that any
     rewrite changed also gets ``<file>.diff`` beside its cleaned copy.
-    The original file is never modified. A write failure is fatal for
-    this file and is recorded on the report.
+    The original file is never modified. A read or write failure is
+    fatal for this file and is recorded on the report.
     """
     path = Path(path)
     out_dir = Path(out_dir)
     report = CleanReport(path=str(path))
-    decoded, _ = rsource.decode(path.read_bytes())
+    try:
+        decoded, _ = rsource.decode(path.read_bytes())
+    except OSError as exc:
+        report.error = f"read failed: {exc}"
+        return report
     text, report.actions, report.was_ascii = _clean(decoded, mirror)
     out_path = out_dir / path.name
     report.output_path = str(out_path)
@@ -307,14 +312,13 @@ def clean_file(
 
 
 def clean_tree(
-    pkg_dir: Path | str, out_dir: Path | str, mirror: str = DEFAULT_CRAN_MIRROR, diff: bool = False
+    manifest: PackageManifest, out_dir: Path | str, mirror: str = DEFAULT_CRAN_MIRROR, diff: bool = False
 ) -> list[CleanReport]:
-    """Clean every R file under pkg_dir, mirroring its layout below out_dir."""
-    pkg_dir = Path(pkg_dir)
-    out_dir = Path(out_dir)
-    reports = []
-    for path in sorted(p for p in pkg_dir.rglob("*") if p.is_file() and rsource.is_r_source(p.name)):
-        rel_parent = path.parent.relative_to(pkg_dir)
-        reports.append(clean_file(path, out_dir / rel_parent, mirror, diff))
-    return reports
-
+    """Clean the manifest's fetched R files, each below out_dir at its relative path's parent."""
+    root = Path(manifest.root)
+    unfetched = manifest.unfetched()
+    return [
+        clean_file(root / entry.relative_path, Path(out_dir, entry.relative_path).parent, mirror, diff)
+        for entry in manifest.r_files()
+        if entry.relative_path not in unfetched
+    ]

@@ -216,7 +216,7 @@ def cmd_clean(args) -> int:
     n_actions = failures = 0
     for manifest in manifests:
         out_dir = out_root / package_slug(manifest.ref.persistent_id)
-        reports = cleaner.clean_tree(manifest.root, out_dir, mirror, args.diff)
+        reports = cleaner.clean_tree(manifest, out_dir, mirror, args.diff)
         for report in reports:
             n_actions += len(report.actions)
             if report.error:
@@ -266,10 +266,8 @@ def cmd_run(args) -> int:
         # excluded packages stay visible in reports, with their fetch status
         known_packages = store.package_ids()
         for manifest in excluded:
-            pid = manifest.ref.persistent_id
-            if pid not in known_packages:
+            if manifest.ref.persistent_id not in known_packages:
                 store.append_package(manifest)
-                store.append_event(pid, "-", "excluded_fetch_status", manifest.fetch_status)
         n = 0
         for _ in run_matrix(
             runnable,

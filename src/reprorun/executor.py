@@ -3,8 +3,8 @@
 The unit of work is one package under one cleaning mode: ``run_matrix``
 schedules units over a thread pool, and the store marks each finished
 unit with one event, which is what a resumed run skips. Inside a unit,
-each interpreter gets a fresh copy of the package directory, whose R
-files the cleaned mode cleans from the package's own sources; files
+each interpreter gets a fresh copy of the package's fetched files,
+whose R files the cleaned mode cleans from the package's own sources; files
 execute sequentially in lexicographic filename order against a per-file
 wall-clock budget and a cumulative per-package budget. Each child runs in its own process group. Its exit
 is awaited on a pidfd (Linux), so it is seen as soon as it happens; where
@@ -30,7 +30,7 @@ from concurrent.futures import ThreadPoolExecutor, as_completed
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
-from . import cleaner
+from . import cleaner, rsource
 from .ingest import PackageManifest, from_fields, package_slug
 
 VERDICT_SUCCESS = "success"
@@ -280,29 +280,21 @@ def execute_file(
     return outcome
 
 
-def _populate_workspace(
-    manifest: PackageManifest, workspace: Path, cleaned: dict[str, str], unfetched: set[str]
-) -> None:
-    """Copy the package's fetched files into a fresh workspace, writing the cleaned text of those it has."""
+def _populate_workspace(workspace: Path, plan: dict[str, str | Path], package_id: str) -> None:
+    """Fill a fresh workspace from its plan: write each text, copy each source file."""
     try:
         if workspace.exists():
             shutil.rmtree(workspace)
         workspace.mkdir(parents=True)
-        root = Path(manifest.root)
-        for entry in manifest.files:
-            if entry.relative_path in unfetched:
-                continue  # recorded download failure, nothing to copy
-            src = root / entry.relative_path
-            dest = workspace / entry.relative_path
+        for relative_path, source in plan.items():
+            dest = workspace / relative_path
             dest.parent.mkdir(parents=True, exist_ok=True)
-            if entry.relative_path in cleaned:
-                dest.write_text(cleaned[entry.relative_path], encoding="utf-8")
-            elif src.is_file():
-                shutil.copyfile(src, dest)
+            if isinstance(source, str):
+                dest.write_text(source, encoding="utf-8")
             else:
-                raise WorkspaceError(f"missing package file {src}")
+                shutil.copyfile(source, dest)
     except OSError as exc:
-        raise WorkspaceError(f"workspace setup failed for {manifest.ref.persistent_id}: {exc}") from exc
+        raise WorkspaceError(f"workspace setup failed for {package_id}: {exc}") from exc
 
 
 def execute_package(
@@ -319,13 +311,14 @@ def execute_package(
 ) -> list[ExecutionOutcome]:
     """Run every R file of one package under every interpreter.
 
-    In cleaned mode each fetched R file is read and cleaned once, with
-    ``cran_mirror`` injected into install calls, and every interpreter's
-    workspace gets that text. Files run in lexicographic filename order.
+    One pass over the manifest plans the unit's workspaces: a fetched
+    file maps to its source, an R file in cleaned mode to its text cleaned
+    once with ``cran_mirror``. Files run in lexicographic filename order.
     The per-package budget is cumulative per (interpreter x mode)
     workspace; once it is exhausted the remaining files get explicit
     "unassigned" outcomes rather than silently vanishing. So does a file
-    whose download failed, which is never run.
+    whose download failed, which is never run. A workspace is removed
+    after use, or after a failed set-up, unless ``keep_workspaces``.
     """
     scratch_root = Path(scratch_root)
     slug = package_slug(manifest.ref.persistent_id)
@@ -333,21 +326,24 @@ def execute_package(
     extra_env = None if network_allowed else no_network_env()
     r_entries = manifest.r_files()
     unfetched = manifest.unfetched()
-    cleaned: dict[str, str] = {}  # relative path -> cleaned text, the same for every workspace
-    if mode == MODE_CLEANED:
-        try:
-            for entry in r_entries:
-                if entry.relative_path not in unfetched:
-                    raw = (Path(manifest.root) / entry.relative_path).read_bytes()
-                    cleaned[entry.relative_path] = cleaner.clean_text(raw, cran_mirror)[0]
-        except OSError as exc:
-            raise WorkspaceError(f"workspace setup failed for {pid}: {exc}") from exc
+    plan: dict[str, str | Path] = {}  # relative path -> cleaned text or source file, the same for every workspace
+    try:
+        for entry in manifest.files:
+            if entry.relative_path in unfetched:
+                continue  # recorded download failure, nothing to copy
+            src = Path(manifest.root, entry.relative_path)
+            if mode == MODE_CLEANED and rsource.is_r_source(entry.relative_path):
+                plan[entry.relative_path] = cleaner.clean_text(src.read_bytes(), cran_mirror)[0]
+            else:
+                plan[entry.relative_path] = src
+    except OSError as exc:
+        raise WorkspaceError(f"workspace setup failed for {pid}: {exc}") from exc
 
     outcomes: list[ExecutionOutcome] = []
     for interpreter in interpreters:
         workspace = scratch_root / f"{slug}__{interpreter.label}__{mode}"
-        _populate_workspace(manifest, workspace, cleaned, unfetched)
         try:
+            _populate_workspace(workspace, plan, pid)
             remaining = float(budget.per_package)
             for entry in r_entries:
                 if remaining <= 0 or entry.relative_path in unfetched:

@@ -162,7 +162,14 @@ def package_slug(persistent_id: str) -> str:
 
 
 def save_manifest(manifest: PackageManifest, path: Path | str) -> None:
-    Path(path).write_text(json.dumps(manifest.to_dict(), indent=2) + "\n", encoding="utf-8")
+    """Write the manifest whole or not at all: a temporary file beside it, then a rename."""
+    tmp = Path(f"{path}.tmp")
+    try:
+        tmp.write_text(json.dumps(manifest.to_dict(), indent=2) + "\n", encoding="utf-8")
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def load_manifest(path: Path | str) -> PackageManifest:
@@ -411,21 +418,28 @@ class DataverseClient:
         return data
 
     def download_file(self, file_id: int, dest: Path) -> None:
-        """Stream one datafile to ``dest``; a body cut short is a NetworkError."""
+        """Stream one datafile to ``dest``; a body cut short is a NetworkError.
+
+        A download that raises leaves no file at ``dest``.
+        """
         path = f"/api/access/datafile/{file_id}"
-        conn, resp = self._get(path)
         try:
-            with open(dest, "wb") as fh:
-                while chunk := resp.read(65536):
-                    fh.write(chunk)
-        except http.client.HTTPException as exc:
-            raise NetworkError(f"download from {self.api_base + path} broke off: {exc!r}") from None
-        finally:
-            _release(conn, resp)
-        if resp.length:
-            raise NetworkError(
-                f"download from {self.api_base + path} broke off: {resp.length} more bytes expected"
-            )
+            conn, resp = self._get(path)
+            try:
+                with open(dest, "wb") as fh:
+                    while chunk := resp.read(65536):
+                        fh.write(chunk)
+            except http.client.HTTPException as exc:
+                raise NetworkError(f"download from {self.api_base + path} broke off: {exc!r}") from None
+            finally:
+                _release(conn, resp)
+            if resp.length:
+                raise NetworkError(
+                    f"download from {self.api_base + path} broke off: {resp.length} more bytes expected"
+                )
+        except BaseException:
+            dest.unlink(missing_ok=True)
+            raise
 
 
 def _ref_from_search_item(item: dict) -> PackageRef | None:

@@ -16,7 +16,7 @@ import csv
 import io
 import json
 from collections import Counter
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 
 from .executor import (
     CATEGORY_OTHER,
@@ -62,8 +62,6 @@ class DatasetResult:
     package_id: str
     cleaning_mode: str
     verdict: str
-    file_counts: dict = field(default_factory=dict)
-    n_unassigned: int = 0
 
 
 @dataclass
@@ -145,13 +143,12 @@ def aggregate_dataset(file_results: list[CombinedResult]) -> DatasetResult:
     modes = {r.cleaning_mode for r in file_results}
     if len(pids) > 1 or len(modes) > 1:
         raise ValueError(f"mixed packages/modes in dataset aggregation: {pids} {modes}")
-    counts = Counter(r.verdict for r in file_results if r.verdict != VERDICT_UNASSIGNED)
-    n_unassigned = sum(1 for r in file_results if r.verdict == VERDICT_UNASSIGNED)
-    if counts[VERDICT_SUCCESS]:
+    verdicts = {r.verdict for r in file_results}
+    if VERDICT_SUCCESS in verdicts:
         verdict = DATASET_SUCCESS
-    elif counts[VERDICT_TLE]:
+    elif VERDICT_TLE in verdicts:
         verdict = DATASET_EXCLUDED_TLE
-    elif counts[VERDICT_ERROR]:
+    elif VERDICT_ERROR in verdicts:
         verdict = DATASET_ERROR
     else:
         verdict = DATASET_EXCLUDED_NO_RESULTS
@@ -159,8 +156,6 @@ def aggregate_dataset(file_results: list[CombinedResult]) -> DatasetResult:
         package_id=next(iter(pids), ""),
         cleaning_mode=next(iter(modes), ""),
         verdict=verdict,
-        file_counts=dict(sorted(counts.items())),
-        n_unassigned=n_unassigned,
     )
 
 

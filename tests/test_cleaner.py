@@ -290,6 +290,12 @@ def test_clean_file_write_failure_recorded(tmp_path: Path):
     assert report.error is not None
 
 
+def test_clean_file_read_failure_recorded(tmp_path: Path):
+    report = clean_file(tmp_path / "gone.R", tmp_path / "out")
+    assert report.error.startswith("read failed:")
+    assert not (tmp_path / "out").exists()
+
+
 # --- properties ---------------------------------------------------------------------
 
 _line = st.sampled_from(

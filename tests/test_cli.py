@@ -135,6 +135,7 @@ def test_partial_packages_excluded_but_reported(tmp_path: Path):
     assert report["packages"]["fetch_status_counts"] == {"ok": 1, "partial": 1}
     raw_mode = report["modes"][0]
     assert raw_mode["file_rate"]["denominator"] == 1  # only the ok package executed
+    assert all(e["mode"] != "-" for e in RunStore.load(store_path).events())  # fetch status lives on the package
 
 
 def _partial_corpus(tmp_path: Path, names=("half",)) -> Path:
@@ -151,6 +152,16 @@ def _partial_corpus(tmp_path: Path, names=("half",)) -> Path:
         manifest_path.write_text(json.dumps(data))
         (source / "b.R").unlink()
     return corpus
+
+
+def test_clean_cleans_only_the_fetched_files_the_manifest_lists(tmp_path: Path):
+    corpus = _partial_corpus(tmp_path)  # b.R is listed but was never fetched
+    (tmp_path / "sources" / "half" / "extra.R").write_text('setwd("/y")\n', encoding="utf-8")  # on disk, unlisted
+    assert main(["clean", "--corpus", str(corpus)]) == 0
+    out = corpus / "cleaned" / "local_half"
+    assert sorted(p.name for p in out.iterdir()) == ["a.R", "clean_reports.json"]
+    reports = json.loads((out / "clean_reports.json").read_text())
+    assert [Path(r["path"]).name for r in reports] == ["a.R"]
 
 
 def test_analyze_counts_never_fetched_r_file_unknown(tmp_path: Path):

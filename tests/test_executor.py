@@ -242,6 +242,16 @@ def test_unreadable_r_file_in_cleaned_mode_is_a_workspace_failure(tmp_path: Path
             execute_package(manifest, [stub_spec()], Budget(5, 10), mode, tmp_path / "scratch")
 
 
+def test_failed_workspace_setup_leaves_no_workspace(tmp_path: Path):
+    manifest = make_package(tmp_path, "gone", {"a.R": "x <- 1\n", "b.csv": "1,2\n"})
+    (tmp_path / "gone" / "b.csv").unlink()
+    scratch = tmp_path / "scratch"
+    for mode in ("raw", "cleaned"):
+        with pytest.raises(WorkspaceError, match="b.csv"):
+            execute_package(manifest, [stub_spec()], Budget(5, 10), mode, scratch)
+    assert list(scratch.iterdir()) == []
+
+
 def test_workspace_destroyed_unless_keep(tmp_path: Path):
     manifest = make_package(tmp_path, "wipe", {"a.R": "x <- 1\n"})
     scratch = tmp_path / "scratch"

@@ -401,6 +401,26 @@ def test_save_manifest_key_order_and_round_trip(tmp_path: Path):
     assert load_manifest(path) == manifest
 
 
+def test_failed_manifest_write_keeps_the_previous_manifest(tmp_path: Path, monkeypatch):
+    manifest = make_package(tmp_path, "pkg", {"a.R": "1\n"})
+    path = tmp_path / "m.json"
+    save_manifest(manifest, path)
+    before = path.read_bytes()
+    real_write_text = Path.write_text
+
+    def write_half_then_fail(self, data, *args, **kwargs):
+        real_write_text(self, data[: len(data) // 2], *args, **kwargs)
+        raise OSError(28, "No space left on device")
+
+    manifest.ref.title = "changed"
+    monkeypatch.setattr(Path, "write_text", write_half_then_fail)
+    with pytest.raises(OSError, match="No space"):
+        save_manifest(manifest, path)
+    monkeypatch.undo()
+    assert path.read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["m.json", "pkg"]
+
+
 def test_manifest_from_dict_defaults_and_required_keys():
     assert PackageManifest.from_dict({"persistent_id": "x", "root": "/r"}) == PackageManifest(
         ref=PackageRef("x"), root="/r"
@@ -560,6 +580,8 @@ def test_short_download_marks_entry_and_package_partial(tmp_path: Path):
     good, short = manifest.files
     assert good.error is None and good.size == 7
     assert "90 more" in short.error
+    assert not (Path(manifest.root) / "short.bin").exists()  # no truncated file passes for a fetched one
+    assert manifest.unfetched() == {"short.bin"}
 
 
 def test_stale_keep_alive_connection_is_reopened_without_a_retry():
