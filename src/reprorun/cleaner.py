@@ -14,6 +14,12 @@ re-execution failures:
 Every rewrite is recorded as a CleanAction so the full diff can be
 reconstructed. No rewrite ever touches a comment line, and the cleaned
 file always has the same number of physical lines as the input.
+
+Each of the last three rewrites has a trigger, a word or a quoted
+absolute path that any line it rewrites holds. ``_holds_trigger`` tests
+them all on the raw line before any scan, and only the lines it picks
+are masked and stepped: most code lines hold none and pass through
+untouched.
 """
 
 from __future__ import annotations
@@ -112,16 +118,21 @@ def _enclosing_call(line: str, idx: int) -> tuple[str, int, int] | None:
 
 
 def _rewrite(text: str, *steps) -> tuple[str, list[CleanAction]]:
-    """Run per-line rewrite steps, in order, over the code lines of text.
+    """Run per-line rewrite steps, in order, over the code lines of text that hold a trigger.
 
     A step takes (lineno, line, code, actions), where code is the line's
     masked code, appends what it rewrites to actions and returns the
-    line. The lines are scanned once; a line is scanned again only after
-    a step has changed it. The actions come step by step, each by line.
+    line. Only the lines that ``_holds_trigger`` picks reach
+    ``rsource.code_lines``, with their line numbers; every other line is
+    one that no step rewrites, and it is never masked or stepped. A
+    picked line is scanned once, and again only after a step has changed
+    it. The actions come step by step, each by line.
     """
     lines = text.split("\n")
+    picked = [i for i, line in enumerate(lines) if _holds_trigger(line)]
     logs: list[list[CleanAction]] = [[] for _ in steps]
-    for i, line, code in rsource.code_lines(lines):
+    for j, line, code in rsource.code_lines([lines[i] for i in picked]):
+        i = picked[j]
         new = line
         for step, log in zip(steps, logs):
             if new != line:
@@ -129,6 +140,15 @@ def _rewrite(text: str, *steps) -> tuple[str, list[CleanAction]]:
             new = step(i + 1, line, code, log)
         lines[i] = new
     return "\n".join(lines), [action for log in logs for action in log]
+
+
+def _holds_trigger(line: str) -> bool:
+    """Whether a raw line holds the trigger of some step: every line a step rewrites holds its trigger."""
+    return (
+        "setwd" in line  # _setwd_step
+        or "library" in line or "require" in line or "install.packages" in line  # _library_step
+        or _ABSOLUTE_LITERAL_HINT_RE.search(line) is not None  # _paths_step
+    )
 
 
 def _setwd_step(lineno: int, line: str, code: str, actions: list[CleanAction]) -> str:

@@ -166,6 +166,14 @@ def no_network_env() -> dict:
     }
 
 
+def child_env(interpreter: InterpreterSpec, extra_env: dict | None = None) -> dict:
+    """A child's environment: ``os.environ``, then ``interpreter.env``, then ``extra_env`` laid over it."""
+    env = dict(os.environ)
+    env.update(interpreter.env)
+    env.update(extra_env or {})
+    return env
+
+
 def _await_exit(proc: subprocess.Popen, timeout: float) -> bool:
     """Wait up to timeout seconds for the child to exit; True if it did.
 
@@ -220,6 +228,7 @@ def execute_file(
     file_label: str | None = None,
     cleaning_mode: str = MODE_RAW,
     extra_env: dict | None = None,
+    env: dict | None = None,
     stderr_limit: int = DEFAULT_STDERR_TAIL,
 ) -> ExecutionOutcome:
     """Run one script with the workspace as working directory.
@@ -229,24 +238,25 @@ def execute_file(
     The whole group is killed when the child exits or at budget expiry
     (verdict tle, no exit code), so background processes die with it.
     Exit 0 within budget is success; anything else is an error
-    classified from the captured stderr tail. A missing interpreter
-    raises InterpreterConfigError instead of producing a script verdict.
+    classified from the captured stderr tail. An interpreter that cannot
+    be started (missing, not executable, not a program) raises
+    InterpreterConfigError instead of producing a script verdict.
+
+    ``env`` is the whole child environment; a caller that runs many files
+    under one interpreter builds it once with ``child_env``. Without it,
+    ``child_env(interpreter, extra_env)`` builds it for this call.
     """
     # the child resolves relative argv against its own cwd (the workspace),
-    # so the template must be filled with absolute paths
-    script = Path(script).resolve()
-    workdir = Path(workdir).resolve()
-    cmd = [
-        part.replace("{script}", str(script)).replace("{workdir}", str(workdir))
-        for part in interpreter.launch_command
-    ]
-    env = dict(os.environ)
-    env.update(interpreter.env)
-    env.update(extra_env or {})
+    # so the template must be filled with absolute paths (not resolved: symlinks may stay)
+    script = os.path.abspath(script)
+    workdir = os.path.abspath(workdir)
+    cmd = [part.replace("{script}", script).replace("{workdir}", workdir) for part in interpreter.launch_command]
+    if env is None:
+        env = child_env(interpreter, extra_env)
 
     outcome = ExecutionOutcome(
         package_id=package_id,
-        file=file_label if file_label is not None else script.name,
+        file=file_label if file_label is not None else os.path.basename(script),
         interpreter_label=interpreter.label,
         cleaning_mode=cleaning_mode,
         verdict=VERDICT_ERROR,
@@ -262,7 +272,10 @@ def execute_file(
                 env=env,
                 start_new_session=True,
             )
-        except FileNotFoundError as exc:
+        except OSError as exc:
+            if exc.filename is None:
+                raise  # no process could be made (out of memory or pids): not the interpreter's fault
+            # exec or chdir failed in the child, which names the program or the workdir
             raise InterpreterConfigError(f"interpreter {interpreter.label!r}: {exc}") from exc
         try:
             exited = _await_exit(proc, budget_seconds)
@@ -344,6 +357,8 @@ def execute_package(
         workspace = scratch_root / f"{slug}__{interpreter.label}__{mode}"
         try:
             _populate_workspace(workspace, plan, pid)
+            workdir = os.path.abspath(workspace)
+            env = child_env(interpreter, extra_env)
             remaining = float(budget.per_package)
             for entry in r_entries:
                 if remaining <= 0 or entry.relative_path in unfetched:
@@ -356,14 +371,14 @@ def execute_package(
                     )
                 else:
                     outcome = execute_file(
-                        workspace / entry.relative_path,
+                        os.path.join(workdir, entry.relative_path),
                         interpreter,
                         min(budget.per_file, remaining),
-                        workspace,
+                        workdir,
                         package_id=pid,
                         file_label=entry.relative_path,
                         cleaning_mode=mode,
-                        extra_env=extra_env,
+                        env=env,
                     )
                     remaining -= outcome.wall_time
                 outcomes.append(outcome)

@@ -617,10 +617,14 @@ def verify_checksums(manifest: PackageManifest) -> PackageManifest:
     """Recompute digests against repository-reported checksums; idempotent.
 
     Entries without a reported checksum become (or stay) unchecked; an
-    unreadable file is a mismatch with the reason recorded.
+    unreadable file is a mismatch with the reason recorded. A file whose
+    download failed (``unfetched``) keeps its state and the reason why.
     """
     root = Path(manifest.root)
+    unfetched = manifest.unfetched()
     for entry in manifest.files:
+        if entry.relative_path in unfetched:
+            continue
         if not entry.checksum:
             entry.verified = VERIFIED_UNCHECKED
             continue

@@ -13,7 +13,9 @@ physical line, and nothing else in the package knows about R quoting.
 
 ``code_lines`` is the one entry point for code lines: it scans each code
 line once and yields it with its masked code, which every other helper
-reads. The masked line has each string literal, quotes included, blanked
+reads. The metrics and the stub hand it every line; the cleaner hands it
+only the lines that hold a rewrite trigger and leaves the rest unscanned.
+The masked line has each string literal, quotes included, blanked
 to spaces and keeps every index, so any ``(``, ``)``, ``#``, ``,`` or
 ``;`` left in it is code: its first ``#`` starts the comment, and the
 helpers return indices that callers use to slice the original line.

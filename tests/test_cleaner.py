@@ -416,3 +416,51 @@ def oracle_library_step(lineno, line, code, actions, mirror):
 def test_library_word_filter_matches_the_unfiltered_guard_scan(text):
     steps = cleaner._setwd_step, cleaner._paths_step, partial(oracle_library_step, mirror=MIRROR)
     assert clean_text(text.encode(), MIRROR)[:2] == cleaner._rewrite(text, *steps)
+
+
+def oracle_rewrite(text, *steps):
+    """``_rewrite`` before its trigger pick, kept as its oracle: every code line is masked and stepped."""
+    lines = text.split("\n")
+    logs = [[] for _ in steps]
+    for i, line, code in rsource.code_lines(lines):
+        new = line
+        for step, log in zip(steps, logs):
+            if new != line:
+                line, code = new, rsource.masked_code(new)
+            new = step(i + 1, line, code, log)
+        lines[i] = new
+    return "\n".join(lines), [action for log in logs for action in log]
+
+
+# lines that hold one trigger alone: absolute-path literals in code, inside strings and after '#',
+# setwd calls without a path, and near-misses of each trigger word
+_trigger_line = st.sampled_from(
+    [
+        'setwd("rel/dir")',
+        "setwd(dir); x <- 1",
+        'x <- read.csv("~/data.csv")',
+        "load('C:\\\\Users\\\\me\\\\d.RData')",
+        'f(file.path("D:/data"))',
+        'g(x, "\\\\\\\\server\\\\share\\\\f.csv")',
+        'y <- basename("/already")',
+        'msg <- paste("see \'/abs/in/a/string\'")',
+        "s <- 'quote \"/inner\" here'",
+        "z <- 2  # read.csv('/abs/after/hash.csv')",
+        'w <- 3 # setwd("/x"); library(zoo)',
+        'v <- "/top"',
+        'u <- c(setwdx = 1, libraryish = 2, requirements = 3)',
+        "print(x) # '~/note'",
+    ]
+)
+
+
+@settings(max_examples=300)
+@given(
+    st.one_of(
+        R_FRAGMENT_LINES,
+        st.lists(st.one_of(_line, _fragment_line, _trailing_comment_line, _trigger_line), max_size=12).map("\n".join),
+    )
+)
+def test_trigger_pick_matches_the_every_code_line_loop(text):
+    steps = cleaner._setwd_step, cleaner._paths_step, partial(cleaner._library_step, mirror=MIRROR)
+    assert clean_text(text.encode(), MIRROR)[:2] == oracle_rewrite(text, *steps)

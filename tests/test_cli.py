@@ -336,6 +336,21 @@ def test_run_missing_interpreter_exit_5(tmp_path: Path):
     assert code == 5
 
 
+def test_run_interpreter_that_cannot_start_exit_5(tmp_path: Path, capsys):
+    make_package(tmp_path / "corpus", "pkg", {"a.R": "x <- 1\n"})
+    config = tmp_path / "run.ini"
+    config.write_text("[interpreter.R9]\ncommand = /etc/passwd {script}\n", encoding="utf-8")
+    store_path = tmp_path / "s.jsonl"
+    code = main([
+        "run", "--corpus", str(tmp_path / "corpus"), "--store", str(store_path),
+        "--config", str(config), "--modes", "raw", "--scratch", str(tmp_path / "scratch"),
+    ])
+    assert code == 5
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: interpreter 'R9': ") and "Permission denied" in err[0]
+    assert RunStore.load(store_path).outcomes() == []
+
+
 @pytest.mark.parametrize(
     "flags, ini, message",
     [

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import errno
 import os
+import sys
 import time
 from collections import Counter
 from pathlib import Path
@@ -134,6 +136,50 @@ def test_missing_interpreter_is_config_error(tmp_path: Path):
         run_one(tmp_path, "x <- 1\n", spec=spec)
 
 
+@pytest.mark.parametrize("program", ["not-executable", "directory", "no-format"])
+def test_interpreter_that_cannot_start_is_config_error(tmp_path: Path, program: str):
+    path = tmp_path / program
+    if program == "directory":
+        path.mkdir()
+    else:
+        path.write_bytes(b"\x00\x01 not a program\n")
+        path.chmod(0o644 if program == "not-executable" else 0o755)
+    with pytest.raises(InterpreterConfigError, match=f"interpreter 'broken': .*{program}"):
+        run_one(tmp_path, "x <- 1\n", spec=InterpreterSpec("broken", (str(path), "{script}")))
+
+
+def test_process_creation_failure_is_not_a_config_error(tmp_path: Path, monkeypatch):
+    def no_fork(*args, **kwargs):
+        raise BlockingIOError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+
+    monkeypatch.setattr(executor_mod.subprocess, "Popen", no_fork)
+    with pytest.raises(BlockingIOError):
+        run_one(tmp_path, "x <- 1\n")
+
+
+# The child writes its script argument and three variables to stderr.
+ENV_PROBE = (
+    "import os, sys; sys.stderr.write(' '.join([sys.argv[1]]"
+    " + [os.environ.get(k, '-') for k in ('PROBE_BASE', 'PROBE_SPEC', 'PROBE_EXTRA')]))"
+)
+
+
+def test_direct_call_lays_the_overlays_over_the_current_environment(tmp_path: Path, monkeypatch):
+    overlay = {"PROBE_SPEC": "spec", "PROBE_EXTRA": "spec"}
+    spec = InterpreterSpec("probe", (sys.executable, "-c", ENV_PROBE, "{script}"), env=overlay)
+    (tmp_path / "ws").mkdir()
+    (tmp_path / "ws" / "a.R").write_text("x <- 1\n", encoding="utf-8")
+    monkeypatch.chdir(tmp_path)
+    tails = []
+    for base in ("one", "two"):
+        monkeypatch.setenv("PROBE_BASE", base)
+        outcome = execute_file("ws/a.R", spec, 20.0, "ws", extra_env={"PROBE_EXTRA": "extra"})
+        assert (outcome.file, outcome.verdict) == ("a.R", "success")
+        tails.append(outcome.stderr_tail)
+    script = tmp_path / "ws" / "a.R"
+    assert tails == [f"{script} one spec extra", f"{script} two spec extra"]
+
+
 def test_stderr_tail_is_bounded(tmp_path: Path):
     lines = "\n".join(f'stop("{"x" * 80}")' for _ in range(1))
     outcome = run_one(tmp_path, lines + "\n", stderr_limit=64)
@@ -191,6 +237,26 @@ def test_relative_scratch_root_still_finds_scripts(tmp_path: Path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     outcomes = execute_package(manifest, [stub_spec()], Budget(5, 10), "raw", Path("scratch"))
     assert [o.verdict for o in outcomes] == ["success"]
+
+
+def test_each_workspace_builds_its_child_environment_once(tmp_path: Path, monkeypatch):
+    built = []
+
+    def counted(interpreter, extra_env=None):
+        built.append(interpreter.label)
+        return real(interpreter, extra_env)
+
+    real = executor_mod.child_env
+    monkeypatch.setattr(executor_mod, "child_env", counted)
+    guarded = 'if (!require("dplyr")) install.packages("dplyr", repos="http://m"); library(dplyr)\n'
+    manifest = make_package(tmp_path, "three", {"a.R": "x <- 1\n", "b.R": guarded, "c.R": "y <- 2\n"})
+    specs = [stub_spec("R1", repo="dplyr"), stub_spec("R2", repo="dplyr")]
+    outcomes = execute_package(manifest, specs, Budget(5, 10), "raw", tmp_path / "scratch", network_allowed=False)
+    assert built == ["R1", "R2"]
+    # the overlay of each workspace's one environment reaches every child: no network for the install
+    assert [(o.interpreter_label, o.file, o.error_category) for o in outcomes] == [
+        (label, f, "library" if f == "b.R" else None) for label in ("R1", "R2") for f in ("a.R", "b.R", "c.R")
+    ]
 
 
 def test_package_budget_exhaustion_leaves_unassigned(tmp_path: Path):

@@ -346,6 +346,29 @@ def test_verify_unreadable_file_is_mismatch_with_reason(tmp_path: Path):
     assert "unreadable" in manifest.files[0].error
 
 
+def test_verify_keeps_the_reason_a_download_failed(tmp_path: Path):
+    datasets = [
+        MockDataset(
+            persistent_id="doi:10.5072/FK2/LOST",
+            files=[
+                MockFile("a.R", b"x <- 1\n"),
+                MockFile("b.R", b"y <- 2\n", fail_download=True),
+                MockFile("c.R", b"z <- 3\n", restricted=True),
+            ],
+        )
+    ]
+    with MockDataverse(datasets) as mock:
+        client = DataverseClient(mock.base_url, retries=2, backoff=0.01)
+        manifest = fetch_package(list_packages(mock.base_url, "*", limit=1, client=client)[0], tmp_path, client)
+    reasons = {e.relative_path: e.error for e in manifest.files if e.error}
+    assert set(reasons) == {"b.R", "c.R"}
+    verify_checksums(manifest)
+    entries = {e.relative_path: e for e in manifest.files}
+    assert {path: entries[path].error for path in reasons} == reasons
+    assert "unreadable" not in str(reasons)
+    assert [entries[p].verified for p in ("a.R", "b.R", "c.R")] == ["ok", "unchecked", "unchecked"]
+
+
 # --- local packages -------------------------------------------------------------
 
 

@@ -118,15 +118,17 @@ UNTOUCHED_CODE_LINES = [
     'msg <- paste("library(fake)", \'#\')',
 ]
 UNTOUCHED_SOURCE = "# header\n\n" + "\n".join(UNTOUCHED_CODE_LINES) + "\n  # trailer \"q\n"
+# The untouched code lines that hold a rewrite trigger: a quoted absolute path after '#', setwd, require, library.
+UNTOUCHED_TRIGGER_LINES = [UNTOUCHED_CODE_LINES[i] for i in (0, 2, 3, 5)]
 
 
 @pytest.fixture
-def scans(monkeypatch) -> list[str]:
-    """Names of the rsource string scans made while the test runs, one entry per call."""
-    calls: list[str] = []
+def scans(monkeypatch) -> list[tuple[str, str]]:
+    """The rsource string scans made while the test runs, as (name, line), one entry per call."""
+    calls: list[tuple[str, str]] = []
     for name in ("mask_strings", "string_spans"):
         def counted(line, _real=getattr(rsource, name), _name=name):
-            calls.append(_name)
+            calls.append((_name, line))
             return _real(line)
 
         monkeypatch.setattr(rsource, name, counted)
@@ -140,9 +142,9 @@ def test_analyze_scans_each_code_line_once(tmp_path, scans):
     assert len(scans) == len(UNTOUCHED_CODE_LINES)
 
 
-def test_clean_scans_each_unrewritten_code_line_once(scans):
+def test_clean_scans_only_the_untouched_code_lines_holding_a_trigger(scans):
     assert clean_text(UNTOUCHED_SOURCE.encode())[:2] == (UNTOUCHED_SOURCE, [])
-    assert len(scans) == len(UNTOUCHED_CODE_LINES)
+    assert scans == [("mask_strings", line) for line in UNTOUCHED_TRIGGER_LINES]
 
 
 @pytest.fixture
