@@ -7,7 +7,6 @@ Subcommands: ingest, analyze, clean, run, report. The commands raise;
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import sys
 from pathlib import Path
@@ -130,35 +129,29 @@ def cmd_ingest(args) -> int:
     dest = Path(args.dest).resolve()
     manifests_dir = dest / "manifests"
     overlay = _load_metadata_file(args.metadata_file)
-
     if args.local:
-        manifest = ingest.load_local_package(Path(args.local).resolve(), _parse_kv(args.metadata))
-        manifest.ref.metadata.update(overlay.get(manifest.ref.persistent_id, {}))
-        manifest_path = manifests_dir / f"{package_slug(manifest.ref.persistent_id)}.json"
-        if manifest_path.exists() and not args.force:
-            print(f"skip {manifest.ref.persistent_id}: manifest exists")
-            return EXIT_OK
-        manifests_dir.mkdir(parents=True, exist_ok=True)
-        ingest.save_manifest(manifest, manifest_path)
-        print(f"cataloged {manifest.ref.persistent_id}: {len(manifest.files)} files")
-        return EXIT_OK
+        local = ingest.load_local_package(Path(args.local).resolve(), _parse_kv(args.metadata))
+        refs = [local.ref]
+    else:
+        api_base = args.api_base or DEFAULT_API_BASE
+        refs = ingest.list_packages(api_base, args.query or DEFAULT_QUERY, args.limit)
 
-    api_base = args.api_base or DEFAULT_API_BASE
-    refs = ingest.list_packages(api_base, args.query or DEFAULT_QUERY, args.limit)
-    manifests_dir.mkdir(parents=True, exist_ok=True)
     todo = []
     for ref in refs:
         ref.metadata.update(overlay.get(ref.persistent_id, {}))
-        manifest_path = manifests_dir / f"{package_slug(ref.persistent_id)}.json"
-        if manifest_path.exists() and not args.force:
+        if (manifests_dir / f"{package_slug(ref.persistent_id)}.json").exists() and not args.force:
             print(f"skip {ref.persistent_id}: manifest exists")
-            continue
-        todo.append(ref)
-    manifests = ingest.fetch_many(
-        todo, dest / "packages", lambda: ingest.DataverseClient(api_base), jobs=args.jobs
-    )
+        else:
+            todo.append(ref)
+    if args.local:
+        manifests = [local] if todo else []
+    else:  # each manifest comes back verified by the worker that fetched it
+        manifests = ingest.fetch_many(
+            todo, dest / "packages", lambda: ingest.DataverseClient(api_base), jobs=args.jobs
+        )
+
+    manifests_dir.mkdir(parents=True, exist_ok=True)
     for manifest in manifests:
-        ingest.verify_checksums(manifest)
         ingest.save_manifest(manifest, manifests_dir / f"{package_slug(manifest.ref.persistent_id)}.json")
         print(f"fetched {manifest.ref.persistent_id}: {len(manifest.files)} files, status {manifest.fetch_status}")
     print(f"ingested {len(manifests)} of {len(refs)} listed packages into {dest}")
@@ -166,27 +159,8 @@ def cmd_ingest(args) -> int:
 
 
 def _write_table(rows: list[dict], out_path: Path, fmt: str) -> None:
-    if fmt == "json":
-        out_path.with_suffix(".json").write_text(results.render_json(rows), encoding="utf-8")
-        return
-    path = out_path.with_suffix(".csv")
-    if not rows:
-        path.write_text("", encoding="utf-8")
-        return
-    columns = list(rows[0])
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=columns, lineterminator="\n")
-        writer.writeheader()
-        for row in rows:
-            writer.writerow({k: _csv_cell(v) for k, v in row.items()})
-
-
-def _csv_cell(value):
-    if isinstance(value, list):
-        return ";".join(str(v) for v in value)
-    if isinstance(value, dict):
-        return json.dumps(value, sort_keys=True)
-    return value
+    text = results.render_json(rows) if fmt == "json" else results.render_csv(rows)
+    out_path.with_suffix(f".{fmt}").write_text(text, encoding="utf-8")
 
 
 def cmd_analyze(args) -> int:
@@ -264,10 +238,8 @@ def cmd_run(args) -> int:
     store = RunStore.open(store_path, config=config.snapshot())
     try:
         # excluded packages stay visible in reports, with their fetch status
-        known_packages = store.package_ids()
         for manifest in excluded:
-            if manifest.ref.persistent_id not in known_packages:
-                store.append_package(manifest)
+            store.append_package(manifest)
         n = 0
         for _ in run_matrix(
             runnable,
@@ -297,7 +269,7 @@ def cmd_report(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     if overlay:
         for pid, record in store.packages().items():
-            record.setdefault("metadata", {}).update(overlay.get(pid, {}))
+            record["metadata"] = {**(record.get("metadata") or {}), **overlay.get(pid, {})}
 
     report = results.overview(store)
     (out / "report.json").write_text(results.render_json(report), encoding="utf-8")
@@ -306,7 +278,7 @@ def cmd_report(args) -> int:
     if args.group_by:
         rows = results.group_report(store, GROUP_BY_KEYS[args.group_by], mode=args.mode)
         if args.format == "csv":
-            (out / "report.csv").write_text(results.render_group_csv(rows), encoding="utf-8")
+            (out / "report.csv").write_text(results.render_csv(rows, results.GROUP_COLUMNS), encoding="utf-8")
         else:
             (out / "grouped.json").write_text(results.render_json(rows), encoding="utf-8")
         rate_column = "file_success_rate" if args.level == "file" else "dataset_success_rate"

@@ -405,11 +405,12 @@ def run_matrix(
 ):
     """Execute (package, mode) units over a bounded worker pool, yielding outcomes.
 
-    A unit is one package under one cleaning mode. Missing package
-    records are appended first. Units already marked completed in the
-    store are skipped, which makes interrupted runs resumable; the rest
-    are submitted mode-major (every package's first mode before any
-    package's second), so concurrent workers start on different packages.
+    A unit is one package under one cleaning mode. Every package is
+    recorded first (the store skips those it holds). Units already
+    marked completed in the store are skipped, which makes interrupted
+    runs resumable; the rest are submitted mode-major (every package's
+    first mode before any package's second), so concurrent workers start
+    on different packages.
     Each unit ends with one event: completed, workspace_failure, or
     infrastructure_failure (a crash inside that unit only).
 
@@ -423,10 +424,8 @@ def run_matrix(
     validate_interpreters(interpreters)
     scratch_root = Path(scratch_root)
     completed = store.completed_runs()
-    known_packages = store.package_ids()
     for manifest in manifests:
-        if manifest.ref.persistent_id not in known_packages:
-            store.append_package(manifest)
+        store.append_package(manifest)
     units = [
         (m, mode) for mode in modes for m in manifests if (m.ref.persistent_id, mode) not in completed
     ]

@@ -178,7 +178,10 @@ def load_manifest(path: Path | str) -> PackageManifest:
         data = json.loads(Path(path).read_text(encoding="utf-8"))
         if not isinstance(data, dict):
             raise ValueError("not a JSON object")
-        return PackageManifest.from_dict(data)
+        manifest = PackageManifest.from_dict(data)
+        if not isinstance(manifest.ref.metadata, (dict, type(None))):
+            raise ValueError("metadata is neither an object nor null")
+        return manifest
     except KeyError as exc:
         raise CorpusError(f"manifest {path} lacks required key {exc}") from None
     except (OSError, ValueError, TypeError) as exc:  # TypeError: a files entry that is not an object
@@ -537,7 +540,8 @@ def fetch_package(
     packages); so does any other failure to list its files (the reason
     names the error), and that failure stays with this package. Any other
     per-file failure marks that entry and degrades the package to
-    ``partial``. The manifest lists every attempted file.
+    ``partial``. The manifest lists every attempted file, each fetched
+    one checked against its reported checksum (:func:`verify_checksums`).
     """
     pkg_dir = Path(dest) / package_slug(ref.persistent_id)
     pkg_dir.mkdir(parents=True, exist_ok=True)
@@ -576,7 +580,7 @@ def fetch_package(
             entry.error = str(exc)
             if manifest.fetch_status == FETCH_OK:
                 manifest.fetch_status = FETCH_PARTIAL
-    return manifest
+    return verify_checksums(manifest)
 
 
 def fetch_many(
@@ -585,7 +589,7 @@ def fetch_many(
     make_client,
     jobs: int = 4,
 ) -> list[PackageManifest]:
-    """Fetch packages concurrently; one worker produces each manifest.
+    """Fetch packages concurrently; one worker produces and verifies each manifest.
 
     Each worker thread calls ``make_client`` once and reuses that client,
     and so its keep-alive connection, for every package it fetches. All

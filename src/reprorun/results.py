@@ -363,12 +363,24 @@ _AGGREGATION_FOOTNOTE = (
 )
 
 
-def render_group_csv(rows: list[dict]) -> str:
+def _csv_cell(value):
+    if isinstance(value, list):
+        return ";".join(str(v) for v in value)
+    if isinstance(value, dict):
+        return json.dumps(value, sort_keys=True)
+    return value
+
+
+def render_csv(rows: list[dict], columns=None) -> str:
+    """CSV of ``rows`` under ``columns`` (by default the first row's keys); no columns give no text."""
+    columns = columns or list(rows[0] if rows else ())
+    if not columns:
+        return ""
     buf = io.StringIO()
-    writer = csv.DictWriter(buf, fieldnames=GROUP_COLUMNS, lineterminator="\n")
+    writer = csv.DictWriter(buf, fieldnames=columns, lineterminator="\n")
     writer.writeheader()
     for row in rows:
-        writer.writerow({col: row[col] for col in GROUP_COLUMNS})
+        writer.writerow({col: _csv_cell(row[col]) for col in columns})
     return buf.getvalue()
 
 

@@ -14,12 +14,13 @@ read last held back until the next one shows it is not the final line,
 so a read holds one line of the file, not the whole log. No list of
 records is kept: each whole record, read or appended, is routed once by
 its kind into the one view that needs it. A record that lacks a key its
-view needs, or holds a list or an object there, is a StoreError naming
-its line; an appended one is not written. Outcome records become
-``ExecutionOutcome`` objects, the latest of each (package, file,
-interpreter, mode) winning, for readers only: ``load`` builds them as
-it reads, while ``open``, the writer's entry point, skips them and
-reads them only if ``outcomes()`` is called.
+view needs, holds a list or an object there, or holds a package field
+of a type reports cannot read, is a StoreError naming its line; an
+appended one is not written. A package is recorded once. Outcome
+records become ``ExecutionOutcome`` objects, the latest of each
+(package, file, interpreter, mode) winning, for readers only: ``load``
+builds them as it reads, while ``open``, the writer's entry point, skips
+them and reads them only if ``outcomes()`` is called.
 """
 
 from __future__ import annotations
@@ -42,6 +43,9 @@ KIND_OUTCOME = "outcome"
 KIND_PACKAGE = "package"
 KIND_EVENT = "package_event"
 
+# The fields of a package record that reports read, and the JSON types each may hold.
+PACKAGE_FIELD_TYPES = {"metadata": (dict, type(None)), "publication_date": (str, type(None))}
+
 
 class StoreError(Exception):
     """The store file is unusable (unreadable or corrupt before the tail)."""
@@ -61,7 +65,7 @@ class RunStore:
         self._events: list[dict] = []
         self._completed: set[tuple[str, str]] = set()
         self._outcomes: dict[tuple, ExecutionOutcome] | None = None  # built for readers only
-        self._lock = threading.Lock()
+        self._lock = threading.RLock()  # append_package checks and appends under it
         self._fh = None
 
     # --- lifecycle -----------------------------------------------------------
@@ -136,25 +140,32 @@ class RunStore:
     def _route(self, record: dict, number: int | None = None, write: Callable | None = None) -> None:
         """Put one whole record into the view its kind feeds, after ``write`` when one is given.
 
-        A record that lacks a key its view needs, or whose key fields
-        cannot be hashed, is a StoreError naming its line, raised before
-        ``write`` is called.
+        A record that lacks a key its view needs, has an unhashable key
+        field or a package field off ``PACKAGE_FIELD_TYPES`` is a
+        StoreError naming its line, raised before ``write`` is called.
         """
         kind = record.get("kind")
         key = None
+        fault = None
         try:
             if kind == KIND_OUTCOME and self._outcomes is not None:
                 outcome = ExecutionOutcome.from_dict(record)
                 key = outcome.package_id, outcome.file, outcome.interpreter_label, outcome.cleaning_mode
             elif kind == KIND_PACKAGE:
                 key = record["package_id"]
+                for name, types in PACKAGE_FIELD_TYPES.items():
+                    if not isinstance(record.get(name), types):
+                        fault = f"holds a {type(record[name]).__name__} in {name!r}"
             elif kind == KIND_EVENT and record.get("event") == EVENT_COMPLETED:
                 key = record["package_id"], record["mode"]
             hash(key)  # a list or an object in a key field cannot index a view
-        except (KeyError, TypeError) as exc:
+        except KeyError as exc:
+            fault = f"lacks key {exc.args[0]!r}"
+        except TypeError as exc:
+            fault = f"has an unhashable key ({exc})"
+        if fault is not None:
             at = f"at line {number} of" if number else "appended to"
-            fault = f"lacks key {exc.args[0]!r}" if isinstance(exc, KeyError) else f"has an unhashable key ({exc})"
-            raise StoreError(f"{kind} record {at} {self.path} {fault}") from None
+            raise StoreError(f"{kind} record {at} {self.path} {fault}")
         if write is not None:
             write()
         if kind == KIND_OUTCOME:
@@ -199,17 +210,21 @@ class RunStore:
         self.append({"kind": KIND_OUTCOME, **outcome.to_dict()})
 
     def append_package(self, manifest: PackageManifest) -> None:
-        self.append(
-            {
-                "kind": KIND_PACKAGE,
-                "package_id": manifest.ref.persistent_id,
-                "title": manifest.ref.title,
-                "publication_date": manifest.ref.publication_date,
-                "metadata": manifest.ref.metadata,
-                "fetch_status": manifest.fetch_status,
-                "n_files": len(manifest.files),
-            }
-        )
+        """Record a package, unless the store already holds a record of its id."""
+        with self._lock:
+            if manifest.ref.persistent_id in self._packages:
+                return
+            self.append(
+                {
+                    "kind": KIND_PACKAGE,
+                    "package_id": manifest.ref.persistent_id,
+                    "title": manifest.ref.title,
+                    "publication_date": manifest.ref.publication_date,
+                    "metadata": manifest.ref.metadata,
+                    "fetch_status": manifest.fetch_status,
+                    "n_files": len(manifest.files),
+                }
+            )
 
     def append_event(self, package_id: str, mode: str, event: str, detail: str | None = None) -> None:
         self.append(
@@ -243,9 +258,6 @@ class RunStore:
 
     def packages(self) -> dict[str, dict]:
         return dict(self._packages)
-
-    def package_ids(self) -> set[str]:
-        return set(self.packages())
 
     def events(self) -> list[dict]:
         return list(self._events)

@@ -9,12 +9,17 @@ from pathlib import Path
 
 import pytest
 
-from reprorun import cleaner, cli
+from reprorun import cleaner, cli, ingest
 from reprorun.cli import build_parser, main
 from reprorun.executor import ExecutionOutcome
+from reprorun.ingest import DataverseClient
+from reprorun.results import GROUP_COLUMNS
 from reprorun.store import RunStore
 
 from conftest import DEMO_METADATA, DEMO_PACKAGES, make_package
+from mock_dataverse import MockDataset, MockDataverse, MockFile
+
+GROUP_HEADER = ",".join(GROUP_COLUMNS) + "\n"
 
 
 @pytest.fixture
@@ -82,6 +87,14 @@ def test_pipeline_end_to_end(cli_corpus: Path, tmp_path: Path):
     csv_text = (report_dir / "report.csv").read_text()
     assert csv_text.startswith("group,file_success_rate,dataset_success_rate,n_files,n_datasets\n")
     assert "JournalA" in csv_text and "JournalB" in csv_text
+
+    assert main([
+        "report", "--store", str(store_path), "--out", str(report_dir),
+        "--group-by", "journal", "--format", "json",
+    ]) == 0
+    grouped = json.loads((report_dir / "grouped.json").read_text())
+    assert [row["group"] for row in grouped] == ["JournalA", "JournalB"]
+    assert [list(row) for row in grouped] == [sorted(GROUP_COLUMNS)] * 2
 
     assert main([
         "report", "--store", str(store_path), "--out", str(report_dir),
@@ -268,8 +281,8 @@ def test_run_lists_store_packages_once(tmp_path: Path, monkeypatch):
         "run", "--corpus", str(corpus), "--store", str(tmp_path / "store.jsonl"), "--stub",
         "--scratch", str(tmp_path / "scratch"),
     ]) == 0
-    assert len(calls) == 1  # three excluded packages, one scan of the store
-    assert set(RunStore.load(tmp_path / "store.jsonl").package_ids()) == {"local:p1", "local:p2", "local:p3"}
+    assert calls == []  # three excluded packages, and the store alone tells which it holds
+    assert set(RunStore.load(tmp_path / "store.jsonl").packages()) == {"local:p1", "local:p2", "local:p3"}
 
 
 def test_run_resume_is_idempotent(cli_corpus: Path, tmp_path: Path):
@@ -282,8 +295,15 @@ def test_run_resume_is_idempotent(cli_corpus: Path, tmp_path: Path):
     ]
     assert main(argv) == 0
     size_after_first = store_path.stat().st_size
+    first_run = RunStore.load(store_path).run_id
     assert main(argv) == 0  # resume: everything already completed
     assert store_path.stat().st_size == size_after_first
+
+    assert main([*argv, "--force"]) == 0  # starts the store over
+    store = RunStore.load(store_path)
+    assert [r["kind"] for r in store.records].count("config") == 1
+    assert store.run_id != first_run
+    assert len(store.packages()) == len(DEMO_PACKAGES)
 
 
 def test_analyze_csv_format(cli_corpus: Path, tmp_path: Path):
@@ -293,6 +313,12 @@ def test_analyze_csv_format(cli_corpus: Path, tmp_path: Path):
     assert "code_lines" in header and "dependencies" in header
     assert (out / "package_census.csv").exists()
     assert (out / "corpus_summary.json").exists()
+
+    make_package(tmp_path / "no-r", "pkg", {"README.md": "no code\n"})
+    out = tmp_path / "no-r-csv"
+    assert main(["analyze", "--corpus", str(tmp_path / "no-r"), "--out", str(out), "--format", "csv"]) == 0
+    assert (out / "file_metrics.csv").read_bytes() == b""
+    assert (out / "package_census.csv").read_text().count("\n") == 2  # header and one package
 
 
 def test_analyze_idempotent(cli_corpus: Path, tmp_path: Path):
@@ -564,6 +590,29 @@ def _ingest_missing_local_dir(tmp_path: Path) -> list[str]:
     return ["ingest", "--dest", str(tmp_path / "corpus"), "--local", str(tmp_path / "gone")]
 
 
+def _ingest_metadata_without_value(tmp_path: Path) -> list[str]:
+    make_package(tmp_path / "sources", "pkg", {"a.R": "x <- 1\n"})
+    return ["ingest", "--dest", str(tmp_path / "corpus"), "--local", str(tmp_path / "sources" / "pkg"),
+            "--metadata", "novalue"]
+
+
+def _run_on_manifest_metadata_list(tmp_path: Path) -> list[str]:
+    corpus = _ingested_corpus(tmp_path)
+    path = corpus / "manifests" / "local_pkg.json"
+    path.write_text(json.dumps({**json.loads(path.read_text(encoding="utf-8")), "metadata": ["x"]}), encoding="utf-8")
+    return ["run", "--corpus", str(corpus), "--store", str(tmp_path / "new.jsonl"), "--stub"]
+
+
+def _report_on_package_metadata_list(tmp_path: Path) -> list[str]:
+    store_path = _store_with(tmp_path, {"kind": "package", "package_id": "p", "metadata": ["x"]})
+    return ["report", "--store", str(store_path), "--out", str(tmp_path / "o"), "--group-by", "journal"]
+
+
+def _report_on_year_date_int(tmp_path: Path) -> list[str]:
+    store_path = _store_with(tmp_path, {"kind": "package", "package_id": "p", "publication_date": 2019})
+    return ["report", "--store", str(store_path), "--out", str(tmp_path / "o"), "--group-by", "year"]
+
+
 @pytest.mark.parametrize(
     "make_argv, code, via_shell",
     [
@@ -580,12 +629,17 @@ def _ingest_missing_local_dir(tmp_path: Path) -> list[str]:
         (_report_on_completed_mode_list, 6, False),
         (_run_with_interpreter_lacking_script, 5, False),
         (_ingest_missing_local_dir, 2, True),
+        (_ingest_metadata_without_value, 2, False),
+        (_run_on_manifest_metadata_list, 2, False),
+        (_report_on_package_metadata_list, 6, False),
+        (_report_on_year_date_int, 6, False),
     ],
     ids=[
         "manifest-not-json", "manifest-without-id", "run-corrupt-store", "out-not-writable",
         "report-disjoint-modes", "report-package-without-id", "run-completed-without-mode",
         "run-package-id-list", "report-package-id-list", "run-completed-mode-list", "report-completed-mode-list",
-        "run-interpreter-without-script", "missing-local-dir",
+        "run-interpreter-without-script", "missing-local-dir", "ingest-metadata-without-value",
+        "run-manifest-metadata-list", "report-package-metadata-list", "report-year-date-int",
     ],
 )
 def test_hostile_input_exits_with_documented_code(tmp_path: Path, capsys, make_argv, code: int, via_shell: bool):
@@ -651,6 +705,76 @@ def test_report_metadata_overlay_for_policy(cli_corpus: Path, tmp_path: Path):
         "--group-by", "policy", "--metadata-file", str(overlay_path),
     ]) == 0
     assert "overridden" in (report_dir / "report.csv").read_text()
+
+    assert main([
+        "report", "--store", str(store_path), "--out", str(report_dir), "--group-by", "journal", "--mode", "raw",
+    ]) == 0
+    assert (report_dir / "report.csv").read_text() == GROUP_HEADER  # no raw outcomes, no rows
+
+
+def test_report_overlay_on_null_package_metadata(tmp_path: Path):
+    store_path = _store_with(tmp_path, {"kind": "package", "package_id": "p", "metadata": None})
+    (tmp_path / "labels.json").write_text(json.dumps({"p": {"journal": "J"}}), encoding="utf-8")
+    assert main([
+        "report", "--store", str(store_path), "--out", str(tmp_path / "o"), "--group-by", "journal",
+        "--mode", "raw", "--metadata-file", str(tmp_path / "labels.json"),
+    ]) == 0
+    assert (tmp_path / "o" / "report.csv").read_text() == GROUP_HEADER + "J,1.0,1.0,1,1\n"
+
+
+def _mock_datasets() -> list[MockDataset]:
+    return [
+        MockDataset(
+            persistent_id=f"doi:10.5072/FK2/CLI{i}",
+            dataverse_name=f"Journal{i % 2}",
+            files=[MockFile("a.R", f"x <- {i}\nprint(x)\n".encode(), corrupt_checksum=i == 2),
+                   MockFile("data.csv", b"a,b\n1,2\n")],
+        )
+        for i in range(3)
+    ]
+
+
+def test_ingest_from_a_repository_verifies_and_skips_saved_packages(tmp_path: Path, monkeypatch, capsys):
+    downloads = []
+    download = DataverseClient.download_file
+
+    def counting_download(self, file_id, dest):
+        downloads.append(file_id)
+        download(self, file_id, dest)
+
+    monkeypatch.setattr(DataverseClient, "download_file", counting_download)
+    dest = tmp_path / "corpus"
+    with MockDataverse(_mock_datasets()) as mock:
+        argv = ["ingest", "--dest", str(dest), "--api-base", mock.base_url, "--query", "*", "--limit", "3",
+                "--jobs", "2"]
+        assert main(argv) == 0
+        manifests = {m.ref.persistent_id: m for m in ingest.discover_corpus(dest)}
+        assert len(manifests) == 3 and len(downloads) == 6
+        verified = {(pid[-4:], e.relative_path): e.verified for pid, m in manifests.items() for e in m.files}
+        assert verified.pop(("CLI2", "a.R")) == "mismatch"
+        assert set(verified.values()) == {"ok"}
+        saved = {p.name: p.read_bytes() for p in (dest / "manifests").iterdir()}
+
+        downloads.clear()
+        capsys.readouterr()
+        assert main(argv) == 0
+        assert capsys.readouterr().out.count("manifest exists") == 3
+        assert downloads == []
+        assert {p.name: p.read_bytes() for p in (dest / "manifests").iterdir()} == saved
+
+        assert main([*argv, "--force"]) == 0
+        assert len(downloads) == 6
+
+
+def test_ingest_local_twice_skips_the_second_time(tmp_path: Path, capsys):
+    make_package(tmp_path / "sources", "pkg", {"a.R": "x <- 1\n"})
+    argv = ["ingest", "--dest", str(tmp_path / "corpus"), "--local", str(tmp_path / "sources" / "pkg")]
+    assert main(argv) == 0
+    saved = (tmp_path / "corpus" / "manifests" / "local_pkg.json").read_bytes()
+    capsys.readouterr()
+    assert main(argv) == 0
+    assert "skip local:pkg: manifest exists" in capsys.readouterr().out
+    assert (tmp_path / "corpus" / "manifests" / "local_pkg.json").read_bytes() == saved
 
 
 DOCUMENTED_FLAGS = {

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 import reprorun.results as results_mod
 from reprorun.executor import ExecutionOutcome
 from reprorun.results import (
+    GROUP_COLUMNS,
     CombinedResult,
     MismatchError,
     aggregate_dataset,
@@ -19,7 +20,7 @@ from reprorun.results import (
     dataset_results,
     group_report,
     group_value,
-    render_group_csv,
+    render_csv,
     render_json,
     render_overview_text,
     overview,
@@ -335,12 +336,12 @@ def test_reports_are_deterministic(tmp_path: Path):
     store = _store_with(tmp_path, outcomes, {"p1": {"journal": "J"}, "p2": {"journal": "J"}})
     first = (
         render_json(overview(store)),
-        render_group_csv(group_report(store, "journal")),
+        render_csv(group_report(store, "journal"), GROUP_COLUMNS),
         render_overview_text(overview(store)),
     )
     second = (
         render_json(overview(store)),
-        render_group_csv(group_report(store, "journal")),
+        render_csv(group_report(store, "journal"), GROUP_COLUMNS),
         render_overview_text(overview(store)),
     )
     assert first == second
@@ -368,6 +369,6 @@ def test_overview_folds_each_mode_once(tmp_path: Path, monkeypatch):
 
 def test_group_csv_columns_stable(tmp_path: Path):
     store = _store_with(tmp_path, [outcome("p1", "a.R", "R1", "success")], {"p1": {"journal": "J"}})
-    csv_text = render_group_csv(group_report(store, "journal"))
+    csv_text = render_csv(group_report(store, "journal"), GROUP_COLUMNS)
     header = csv_text.split("\n", 1)[0]
     assert header == "group,file_success_rate,dataset_success_rate,n_files,n_datasets"

@@ -8,9 +8,10 @@ from pathlib import Path
 import pytest
 
 from reprorun.executor import ExecutionOutcome
+from reprorun.ingest import PackageManifest, PackageRef
 from reprorun.store import RunStore, StoreError
 
-from conftest import traced_memory
+from conftest import make_package, traced_memory
 
 
 def outcome(i: int, mode: str = "raw") -> ExecutionOutcome:
@@ -347,6 +348,30 @@ def test_concurrent_producers_interleave_whole_records(tmp_path: Path):
         json.loads(line)  # every line is intact JSON
 
 
+def test_concurrent_package_appends_record_each_package_once(tmp_path: Path):
+    store = RunStore.open(tmp_path / "s.jsonl")
+    manifests = [PackageManifest(PackageRef(f"p{i}"), root="") for i in range(30)]
+
+    def produce():
+        for manifest in manifests:
+            store.append_package(manifest)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        producers = [threading.Thread(target=produce) for _ in range(4)]
+        for t in producers:
+            t.start()
+        for t in producers:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in producers)
+    store.close()
+    ids = [r["package_id"] for r in store.records if r["kind"] == "package"]
+    assert sorted(ids) == sorted(m.ref.persistent_id for m in manifests)
+
+
 def test_reopen_resumes_run_id_and_events(tmp_path: Path):
     path = tmp_path / "s.jsonl"
     store = RunStore.open(path, config={"modes": ["raw"]})
@@ -359,6 +384,39 @@ def test_reopen_resumes_run_id_and_events(tmp_path: Path):
     assert resumed.completed_runs() == {("pkgA", "raw")}
     n_config = sum(1 for r in resumed.records if r["kind"] == "config")
     assert n_config == 1  # reopening does not add another config record
+
+
+def test_a_package_is_recorded_once_across_reopens(tmp_path: Path):
+    path = tmp_path / "s.jsonl"
+    first = make_package(tmp_path / "a", "pkg", {"a.R": "x <- 1\n"}, {"journal": "A"})
+    second = make_package(tmp_path / "b", "pkg", {"b.R": "y <- 2\n"}, {"journal": "B"})
+    store = RunStore.open(path)
+    store.append_package(first)
+    store.append_package(second)
+    store.close()
+    size = path.stat().st_size
+    resumed = RunStore.open(path)
+    resumed.append_package(second)
+    resumed.close()
+    assert path.stat().st_size == size
+    assert RunStore.load(path).packages()["local:pkg"]["metadata"] == {"journal": "A"}
+
+
+@pytest.mark.parametrize(
+    "field, value, type_name",
+    [("metadata", ["x"], "list"), ("metadata", "J", "str"), ("publication_date", 2019, "int")],
+)
+def test_package_field_of_a_type_reports_cannot_read_is_store_error(tmp_path: Path, field, value, type_name):
+    path = tmp_path / "s.jsonl"
+    lines = [{"kind": "config", "run_id": "r", "config": {}}, {"kind": "package", "package_id": "p", field: value}]
+    path.write_text("".join(json.dumps(r) + "\n" for r in lines), encoding="utf-8")
+    with pytest.raises(StoreError, match=f"line 2 .*{type_name} in '{field}'"):
+        RunStore.load(path)
+    store = RunStore.open(tmp_path / "new.jsonl")
+    with pytest.raises(StoreError, match=f"appended .*'{field}'"):
+        store.append(lines[1])
+    store.close()
+    assert len(list(store.records)) == 1  # the record was never written
 
 
 def test_outcomes_filter_by_mode(tmp_path: Path):
