@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import difflib
 import re
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from functools import partial
 from pathlib import Path
 
@@ -59,9 +59,6 @@ class CleanAction:
     before: str
     after: str
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
 
 @dataclass
 class CleanReport:
@@ -72,9 +69,6 @@ class CleanReport:
     was_ascii: bool = True
     output_path: str = ""
     error: str | None = None
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 def _to_ascii(decoded: str) -> tuple[str, bool]:

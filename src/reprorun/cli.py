@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 from . import cleaner, ingest, metrics, results
@@ -175,7 +176,7 @@ def cmd_analyze(args) -> int:
         file_metrics.extend(pkg_metrics)
     summary = metrics.corpus_stats(file_metrics, censuses)
 
-    _write_table([m.to_dict() for m in file_metrics], out / "file_metrics", args.format)
+    _write_table([asdict(m) for m in file_metrics], out / "file_metrics", args.format)
     _write_table([c.to_dict() for c in censuses], out / "package_census", args.format)
     (out / "corpus_summary.json").write_text(results.render_json(summary), encoding="utf-8")
     print(f"analyzed {len(censuses)} packages, {len(file_metrics)} R files -> {out}")
@@ -199,7 +200,7 @@ def cmd_clean(args) -> int:
         if reports:
             try:
                 (out_dir / "clean_reports.json").write_text(
-                    results.render_json([r.to_dict() for r in reports]), encoding="utf-8"
+                    results.render_json([asdict(r) for r in reports]), encoding="utf-8"
                 )
             except OSError as exc:
                 failures += 1
@@ -224,9 +225,10 @@ def cmd_run(args) -> int:
     )
     manifests = ingest.discover_corpus(args.corpus)
 
+    statuses = (ingest.FETCH_OK, ingest.FETCH_PARTIAL) if args.include_partial else (ingest.FETCH_OK,)
     runnable, excluded = [], []
     for manifest in manifests:
-        if manifest.fetch_status == ingest.FETCH_OK or args.include_partial:
+        if manifest.fetch_status in statuses:
             runnable.append(manifest)
         else:
             excluded.append(manifest)

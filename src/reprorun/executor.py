@@ -27,11 +27,11 @@ import subprocess
 import tempfile
 import time
 from concurrent.futures import ThreadPoolExecutor, as_completed
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from pathlib import Path
 
 from . import cleaner, rsource
-from .ingest import PackageManifest, from_fields, package_slug
+from .ingest import PackageManifest, package_slug
 
 VERDICT_SUCCESS = "success"
 VERDICT_ERROR = "error"
@@ -138,14 +138,6 @@ class ExecutionOutcome:
     wall_time: float = 0.0
     exit_code: int | None = None
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "ExecutionOutcome":
-        """Build from a record; a missing key without a default raises KeyError."""
-        return from_fields(cls, data)
-
 
 def classify_error(stderr: str) -> str:
     """Map interpreter stderr to an error category; first matching rule wins."""
@@ -211,10 +203,10 @@ def _kill_group(proc: subprocess.Popen) -> int:
     return proc.wait()
 
 
-def _read_tail(fh, limit: int) -> str:
+def _read_tail(fh) -> str:
     fh.seek(0, os.SEEK_END)
     size = fh.tell()
-    fh.seek(max(0, size - limit))
+    fh.seek(max(0, size - DEFAULT_STDERR_TAIL))
     return fh.read().decode("utf-8", errors="replace")
 
 
@@ -227,9 +219,7 @@ def execute_file(
     package_id: str = "",
     file_label: str | None = None,
     cleaning_mode: str = MODE_RAW,
-    extra_env: dict | None = None,
     env: dict | None = None,
-    stderr_limit: int = DEFAULT_STDERR_TAIL,
 ) -> ExecutionOutcome:
     """Run one script with the workspace as working directory.
 
@@ -244,7 +234,7 @@ def execute_file(
 
     ``env`` is the whole child environment; a caller that runs many files
     under one interpreter builds it once with ``child_env``. Without it,
-    ``child_env(interpreter, extra_env)`` builds it for this call.
+    ``child_env(interpreter)`` builds it for this call.
     """
     # the child resolves relative argv against its own cwd (the workspace),
     # so the template must be filled with absolute paths (not resolved: symlinks may stay)
@@ -252,7 +242,7 @@ def execute_file(
     workdir = os.path.abspath(workdir)
     cmd = [part.replace("{script}", script).replace("{workdir}", workdir) for part in interpreter.launch_command]
     if env is None:
-        env = child_env(interpreter, extra_env)
+        env = child_env(interpreter)
 
     outcome = ExecutionOutcome(
         package_id=package_id,
@@ -287,7 +277,7 @@ def execute_file(
         else:
             outcome.verdict = VERDICT_TLE
         outcome.wall_time = time.monotonic() - start
-        outcome.stderr_tail = _read_tail(stderr_fh, stderr_limit)
+        outcome.stderr_tail = _read_tail(stderr_fh)
     if outcome.verdict == VERDICT_ERROR:
         outcome.error_category = classify_error(outcome.stderr_tail)
     return outcome

@@ -173,7 +173,10 @@ def save_manifest(manifest: PackageManifest, path: Path | str) -> None:
 
 
 def load_manifest(path: Path | str) -> PackageManifest:
-    """Read one saved manifest; a file that is not one raises CorpusError naming it."""
+    """Read one saved manifest; a file that is not one raises CorpusError naming it.
+
+    So does a listed file path that is empty, absolute or has a ``..`` part: it would leave the package.
+    """
     try:
         data = json.loads(Path(path).read_text(encoding="utf-8"))
         if not isinstance(data, dict):
@@ -181,6 +184,10 @@ def load_manifest(path: Path | str) -> PackageManifest:
         manifest = PackageManifest.from_dict(data)
         if not isinstance(manifest.ref.metadata, (dict, type(None))):
             raise ValueError("metadata is neither an object nor null")
+        for entry in manifest.files:
+            parts = os.fspath(entry.relative_path).split("/")  # split, not Path: one per file, at every load
+            if parts[0] == "" or ".." in parts or {"", "."}.issuperset(parts):  # absolute, climbing or empty
+                raise ValueError(f"file path {entry.relative_path!r} leaves the package")
         return manifest
     except KeyError as exc:
         raise CorpusError(f"manifest {path} lacks required key {exc}") from None
@@ -561,8 +568,10 @@ def fetch_package(
     taken: set[str] = set()
     for item in items:
         data_file = item.get("dataFile", {})
-        label = item.get("label") or data_file.get("filename") or f"file-{data_file.get('id')}"
-        name = _allocate_name(os.path.basename(label), taken)
+        name = os.path.basename(item.get("label") or data_file.get("filename") or "")
+        if name in ("", ".", ".."):  # no label, or one that names a directory
+            name = f"file-{data_file.get('id')}"
+        name = _allocate_name(name, taken)
         taken.add(name)
         entry = _entry_from_file_item(item, name)
         manifest.files.append(entry)

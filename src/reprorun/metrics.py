@@ -58,9 +58,6 @@ class FileMetrics:
     detected_encoding: str = "ascii"
     dependency_scan_skips: int = 0
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
 
 @dataclass
 class PackageCensus:

@@ -1,11 +1,11 @@
 """Decoding and a minimal line-oriented scanner for R source text.
 
-Shared by the metrics, cleaner and stub modules. ``decode``,
-``encoding`` and ``file_encoding`` are the one encoding decision in the
-package: nothing else decodes source bytes or names their encoding, and
-all three name it through one ladder folded over byte blocks.
-``file_encoding`` reads a file in 64 KiB blocks and stops at the first
-NUL, so labelling a data file holds one block, not the file.
+Shared by the metrics, cleaner and stub modules. ``decode`` and
+``file_encoding`` are the one encoding decision in the package: nothing
+else decodes source bytes or names their encoding, and both name it
+through one ladder folded over byte blocks. ``file_encoding`` reads a
+file in 64 KiB blocks and stops at the first NUL, so labelling a data
+file holds one block, not the file.
 
 Deliberately not a full R grammar: one compiled regex finds single- and
 double-quoted string literals with backslash escapes on a single
@@ -95,19 +95,14 @@ def _fold_encoding(blocks: Iterable[bytes], utf8: bool | None = None) -> str:
     return "utf-8" if utf8 else "windows-1252" if c1 else "iso-8859-1"
 
 
-def encoding(raw: bytes) -> str:
-    """Encoding label of source bytes: ascii, utf-8, windows-1252, iso-8859-1, or binary (a NUL)."""
-    return _fold_encoding((raw,))
-
-
 def file_encoding(path: Path | str) -> str:
-    """The ``encoding`` label of a file's bytes, read in ``BLOCK_SIZE`` blocks up to the first NUL."""
+    """The encoding label of a file's bytes, read in ``BLOCK_SIZE`` blocks up to the first NUL."""
     with open(path, "rb") as fh:
         return _fold_encoding(iter(functools.partial(fh.read, BLOCK_SIZE), b""))
 
 
 def decode(raw: bytes) -> tuple[str, str]:
-    """Source bytes as text (UTF-8, else latin-1: total), with their ``encoding`` label."""
+    """Source bytes as text (UTF-8, else latin-1: total), with their encoding label."""
     try:
         return raw.decode("utf-8"), _fold_encoding((raw,), utf8=True)
     except UnicodeDecodeError:

@@ -31,10 +31,11 @@ import os
 import threading
 import uuid
 from collections.abc import Callable, Iterator
+from dataclasses import asdict
 from pathlib import Path
 
 from .executor import EVENT_COMPLETED, ExecutionOutcome
-from .ingest import PackageManifest
+from .ingest import PackageManifest, from_fields
 
 log = logging.getLogger(__name__)
 
@@ -149,7 +150,7 @@ class RunStore:
         fault = None
         try:
             if kind == KIND_OUTCOME and self._outcomes is not None:
-                outcome = ExecutionOutcome.from_dict(record)
+                outcome = from_fields(ExecutionOutcome, record)
                 key = outcome.package_id, outcome.file, outcome.interpreter_label, outcome.cleaning_mode
             elif kind == KIND_PACKAGE:
                 key = record["package_id"]
@@ -207,7 +208,7 @@ class RunStore:
             self._route(record, write=write)
 
     def append_outcome(self, outcome: ExecutionOutcome) -> None:
-        self.append({"kind": KIND_OUTCOME, **outcome.to_dict()})
+        self.append({"kind": KIND_OUTCOME, **asdict(outcome)})
 
     def append_package(self, manifest: PackageManifest) -> None:
         """Record a package, unless the store already holds a record of its id."""

@@ -23,6 +23,7 @@ from reprorun.executor import (
     Budget,
     ExecutionOutcome,
     InterpreterSpec,
+    child_env,
     execute_file,
     execute_package,
     no_network_env,
@@ -292,7 +293,7 @@ def test_c8_live_r_checks(tmp_path: Path):
 
         missing_lib = workdir / "lib.R"
         missing_lib.write_text("library(nonexistentpkg123)\n", encoding="utf-8")
-        outcome = execute_file(missing_lib, spec, 60.0, workdir, extra_env=no_network_env())
+        outcome = execute_file(missing_lib, spec, 60.0, workdir, env=child_env(spec, no_network_env()))
         assert outcome.verdict == "error"
         assert outcome.error_category == "library"
 

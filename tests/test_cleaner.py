@@ -215,6 +215,11 @@ def test_padded_quoted_name_untouched():
     assert rewrite_library_loads(original) == (original, [])
 
 
+def test_load_call_that_is_not_the_whole_statement_untouched():
+    original = 'library(zoo) || stop("no zoo")\n'
+    assert rewrite_library_loads(original) == (original, [])
+
+
 def test_user_written_guard_not_reguarded_but_mirror_injected():
     original = 'if (!require(pacman)) install.packages("pacman")\n'
     text, actions = rewrite_library_loads(original)

@@ -151,6 +151,26 @@ def test_partial_packages_excluded_but_reported(tmp_path: Path):
     assert all(e["mode"] != "-" for e in RunStore.load(store_path).events())  # fetch status lives on the package
 
 
+def test_include_partial_skips_a_failed_package(tmp_path: Path, capsys):
+    corpus = tmp_path / "corpus"
+    make_package(tmp_path / "sources", "denied", {"a.R": "x <- 1\n"})
+    assert main(["ingest", "--dest", str(corpus), "--local", str(tmp_path / "sources" / "denied")]) == 0
+    manifest_path = corpus / "manifests" / "local_denied.json"
+    data = json.loads(manifest_path.read_text())
+    manifest_path.write_text(json.dumps({**data, "fetch_status": "failed", "failure_reason": "authorization"}))
+    store_path = tmp_path / "store.jsonl"
+    capsys.readouterr()
+    assert main([
+        "run", "--corpus", str(corpus), "--store", str(store_path), "--stub", "--include-partial",
+        "--scratch", str(tmp_path / "scratch"),
+    ]) == 0
+    out = capsys.readouterr().out
+    assert "skip local:denied: fetch status failed" in out and "recorded 0 outcomes" in out
+    store = RunStore.load(store_path)
+    assert store.outcomes() == [] and store.events() == []
+    assert store.packages()["local:denied"]["fetch_status"] == "failed"
+
+
 def _partial_corpus(tmp_path: Path, names=("half",)) -> Path:
     """An ingested corpus of partial packages, each with a b.R whose download failed."""
     corpus = tmp_path / "corpus"
@@ -613,6 +633,44 @@ def _report_on_year_date_int(tmp_path: Path) -> list[str]:
     return ["report", "--store", str(store_path), "--out", str(tmp_path / "o"), "--group-by", "year"]
 
 
+VICTIM = 'setwd("/elsewhere")\n'
+
+
+def _corpus_listing(tmp_path: Path, relative_path: str) -> Path:
+    """An ingested corpus whose manifest also lists ``relative_path``, with a victim file outside each root."""
+    corpus = _ingested_corpus(tmp_path)
+    for victim in (tmp_path / "victim.R", tmp_path / "sources" / "escaped.R"):
+        victim.write_text(VICTIM, encoding="utf-8")
+    path = corpus / "manifests" / "local_pkg.json"
+    data = json.loads(path.read_text(encoding="utf-8"))
+    data["files"].append({"relative_path": relative_path, "size": len(VICTIM)})
+    path.write_text(json.dumps(data), encoding="utf-8")
+    return corpus
+
+
+def _run_cleaned(corpus: Path, tmp_path: Path) -> list[str]:
+    return [
+        "run", "--corpus", str(corpus), "--store", str(tmp_path / "new.jsonl"), "--stub", "--modes", "cleaned",
+        "--scratch", str(tmp_path / "scratch"),
+    ]
+
+
+def _run_on_manifest_absolute_path(tmp_path: Path) -> list[str]:
+    return _run_cleaned(_corpus_listing(tmp_path, str(tmp_path / "victim.R")), tmp_path)
+
+
+def _run_on_manifest_parent_path(tmp_path: Path) -> list[str]:
+    return _run_cleaned(_corpus_listing(tmp_path, "../escaped.R"), tmp_path)
+
+
+def _clean_on_manifest_absolute_path(tmp_path: Path) -> list[str]:
+    return ["clean", "--corpus", str(_corpus_listing(tmp_path, str(tmp_path / "victim.R"))), "--out", str(tmp_path / "o")]
+
+
+def _clean_on_manifest_parent_path(tmp_path: Path) -> list[str]:
+    return ["clean", "--corpus", str(_corpus_listing(tmp_path, "../escaped.R")), "--out", str(tmp_path / "o")]
+
+
 @pytest.mark.parametrize(
     "make_argv, code, via_shell",
     [
@@ -633,6 +691,10 @@ def _report_on_year_date_int(tmp_path: Path) -> list[str]:
         (_run_on_manifest_metadata_list, 2, False),
         (_report_on_package_metadata_list, 6, False),
         (_report_on_year_date_int, 6, False),
+        (_run_on_manifest_absolute_path, 2, False),
+        (_run_on_manifest_parent_path, 2, False),
+        (_clean_on_manifest_absolute_path, 2, False),
+        (_clean_on_manifest_parent_path, 2, False),
     ],
     ids=[
         "manifest-not-json", "manifest-without-id", "run-corrupt-store", "out-not-writable",
@@ -640,6 +702,8 @@ def _report_on_year_date_int(tmp_path: Path) -> list[str]:
         "run-package-id-list", "report-package-id-list", "run-completed-mode-list", "report-completed-mode-list",
         "run-interpreter-without-script", "missing-local-dir", "ingest-metadata-without-value",
         "run-manifest-metadata-list", "report-package-metadata-list", "report-year-date-int",
+        "run-manifest-absolute-path", "run-manifest-parent-path", "clean-manifest-absolute-path",
+        "clean-manifest-parent-path",
     ],
 )
 def test_hostile_input_exits_with_documented_code(tmp_path: Path, capsys, make_argv, code: int, via_shell: bool):
@@ -661,6 +725,10 @@ def test_hostile_input_exits_with_documented_code(tmp_path: Path, capsys, make_a
     assert "Traceback" not in err
     assert not (tmp_path / "corpus" / "cleaned").exists()  # run writes no cleaned tree
     assert not (tmp_path / "new.jsonl").exists()  # and before it creates a store
+    # a manifest path that leaves its package writes nothing outside the package, workspace or output
+    assert not (tmp_path / "scratch" / "escaped.R").exists() and not (tmp_path / "o" / "escaped.R").exists()
+    for victim in (tmp_path / "victim.R", tmp_path / "sources" / "escaped.R"):
+        assert not victim.exists() or victim.read_text(encoding="utf-8") == VICTIM
 
 
 def test_file_name_that_is_not_utf8_keeps_its_package(tmp_path: Path, capsys):

@@ -11,11 +11,13 @@ import pytest
 
 import reprorun.executor as executor_mod
 from reprorun.executor import (
+    DEFAULT_STDERR_TAIL,
     Budget,
     ExecutionOutcome,
     InterpreterConfigError,
     InterpreterSpec,
     WorkspaceError,
+    child_env,
     classify_error,
     execute_file,
     execute_package,
@@ -173,7 +175,7 @@ def test_direct_call_lays_the_overlays_over_the_current_environment(tmp_path: Pa
     tails = []
     for base in ("one", "two"):
         monkeypatch.setenv("PROBE_BASE", base)
-        outcome = execute_file("ws/a.R", spec, 20.0, "ws", extra_env={"PROBE_EXTRA": "extra"})
+        outcome = execute_file("ws/a.R", spec, 20.0, "ws", env=child_env(spec, {"PROBE_EXTRA": "extra"}))
         assert (outcome.file, outcome.verdict) == ("a.R", "success")
         tails.append(outcome.stderr_tail)
     script = tmp_path / "ws" / "a.R"
@@ -181,9 +183,9 @@ def test_direct_call_lays_the_overlays_over_the_current_environment(tmp_path: Pa
 
 
 def test_stderr_tail_is_bounded(tmp_path: Path):
-    lines = "\n".join(f'stop("{"x" * 80}")' for _ in range(1))
-    outcome = run_one(tmp_path, lines + "\n", stderr_limit=64)
-    assert len(outcome.stderr_tail.encode()) <= 64
+    outcome = run_one(tmp_path, f'stop("{"x" * 20_000}")\n')
+    assert outcome.verdict == "error"
+    assert 0 < len(outcome.stderr_tail.encode()) <= DEFAULT_STDERR_TAIL
 
 
 def test_guarded_install_succeeds_with_repo(tmp_path: Path):
@@ -200,9 +202,8 @@ def test_guarded_install_fails_without_network(tmp_path: Path):
         'if (!require("dplyr")) install.packages("dplyr", repos="http://cran.us.r-project.org");'
         " library(dplyr)\n"
     )
-    outcome = run_one(
-        tmp_path, content, spec=stub_spec(repo="dplyr"), extra_env=no_network_env()
-    )
+    spec = stub_spec(repo="dplyr")
+    outcome = run_one(tmp_path, content, spec=spec, env=child_env(spec, no_network_env()))
     assert outcome.verdict == "error"
     assert outcome.error_category == "library"
 
@@ -327,6 +328,18 @@ def test_workspace_destroyed_unless_keep(tmp_path: Path):
         manifest, [stub_spec()], Budget(5, 10), "raw", scratch, keep_workspaces=True
     )
     assert len(list(scratch.iterdir())) == 1
+
+
+def test_a_leftover_workspace_is_replaced(tmp_path: Path):
+    manifest = make_package(tmp_path, "left", {"a.R": "x <- 1\n"})
+    workspace = tmp_path / "scratch" / "local_left__stubR__raw"
+    workspace.mkdir(parents=True)
+    (workspace / "stale.txt").write_text("from an earlier run\n", encoding="utf-8")
+    outcomes = execute_package(
+        manifest, [stub_spec()], Budget(5, 10), "raw", tmp_path / "scratch", keep_workspaces=True
+    )
+    assert [o.verdict for o in outcomes] == ["success"]
+    assert sorted(p.name for p in workspace.iterdir()) == ["a.R"]
 
 
 def test_isolation_concurrent_divergent_data(tmp_path: Path):

@@ -1,7 +1,9 @@
 from __future__ import annotations
 
+import hashlib
 import json
 import os
+import re
 import socket
 import threading
 import time
@@ -12,6 +14,7 @@ from pathlib import Path
 import pytest
 
 from reprorun.ingest import (
+    CorpusError,
     DataverseClient,
     IngestError,
     PackageManifest,
@@ -207,6 +210,7 @@ def test_name_collision_suffixed_and_recorded(tmp_path: Path):
             files=[
                 MockFile("run.R", b"x <- 1\n", directory_label="code"),
                 MockFile("run.R", b"y <- 2\n", directory_label="replication"),
+                MockFile("run.R", b"z <- 3\n"),
             ],
         )
     ]
@@ -215,12 +219,60 @@ def test_name_collision_suffixed_and_recorded(tmp_path: Path):
         manifest = fetch_package(
             list_packages(mock.base_url, "*", limit=1, client=client)[0], tmp_path, client
         )
-    names = sorted(e.relative_path for e in manifest.files)
-    assert names == ["run.R", "run_1.R"]
-    renamed = next(e for e in manifest.files if e.relative_path == "run_1.R")
-    assert renamed.original_label == "replication/run.R"
+    assert [(e.relative_path, e.original_label) for e in manifest.files] == [
+        ("run.R", "code/run.R"), ("run_1.R", "replication/run.R"), ("run_2.R", "run.R"),
+    ]
     verify_checksums(manifest)
     assert all(e.verified == "ok" for e in manifest.files)
+
+
+def test_file_labelled_as_a_directory_is_saved_under_its_id(tmp_path: Path):
+    datasets = [
+        MockDataset(
+            persistent_id="doi:10.5072/FK2/DOTS",
+            files=[MockFile(".", b"dot\n"), MockFile("..", b"dotdot\n"), MockFile("...", b"dots\n")],
+        )
+    ]
+    with MockDataverse(datasets) as mock:
+        client = DataverseClient(mock.base_url)
+        manifest = fetch_package(list_packages(mock.base_url, "*", limit=1, client=client)[0], tmp_path, client)
+    assert manifest.fetch_status == "ok"
+    assert [(e.relative_path, e.original_label, e.verified) for e in manifest.files] == [
+        ("file-1", ".", "ok"), ("file-2", "..", "ok"), ("...", None, "ok"),
+    ]
+    root = Path(manifest.root)
+    assert [(root / e.relative_path).read_bytes() for e in manifest.files] == [b"dot\n", b"dotdot\n", b"dots\n"]
+    save_manifest(manifest, tmp_path / "m.json")
+    assert load_manifest(tmp_path / "m.json") == manifest  # a name of dots alone stays inside the package
+
+
+class ListingClient:
+    """A client that lists the given file items and downloads each file id as its own bytes."""
+
+    def __init__(self, items: list[dict]):
+        self.items = items
+
+    def dataset_files(self, persistent_id: str) -> list[dict]:
+        return self.items
+
+    def download_file(self, file_id: int, dest: Path) -> None:
+        dest.write_bytes(f"file {file_id}\n".encode())
+
+
+def test_file_items_of_other_shapes(tmp_path: Path):
+    md5 = hashlib.md5(b"file 1\n").hexdigest()
+    items = [
+        {"label": "old.R", "dataFile": {"id": 1, "md5": md5}},
+        {"label": "new.R", "dataFile": {"id": 2, "checksum": {"type": "SHA-3", "value": "ab"}}},
+        {"label": "lost.R", "dataFile": {"filename": "lost.R"}},
+    ]
+    manifest = fetch_package(PackageRef("doi:10.5072/FK2/SHAPES"), tmp_path, ListingClient(items))
+    old, new, lost = manifest.files
+    assert (old.checksum, old.verified) == ({"algorithm": "MD5", "value": md5}, "ok")
+    assert (new.verified, new.error) == ("mismatch", "unsupported checksum algorithm 'SHA-3'")
+    assert (lost.verified, lost.error) == ("unchecked", "file item has no dataFile.id")
+    assert not (Path(manifest.root) / "lost.R").exists()
+    assert manifest.fetch_status == "partial"
 
 
 def test_fetch_many_concurrent_produces_all_manifests(server, tmp_path: Path):
@@ -452,6 +504,17 @@ def test_manifest_from_dict_defaults_and_required_keys():
         PackageManifest.from_dict({"persistent_id": "x"})
     with pytest.raises(KeyError):
         PackageManifest.from_dict({"persistent_id": "x", "root": "/r", "files": [{"size": 1}]})
+
+
+@pytest.mark.parametrize("relative_path", ["", ".", "/abs/victim.R", "../escaped.R", "code/../../escaped.R"])
+def test_manifest_path_that_leaves_its_package_is_refused(tmp_path: Path, relative_path: str):
+    manifest = make_package(tmp_path, "pkg", {"a.R": "1\n"})
+    data = manifest.to_dict()
+    data["files"].append({"relative_path": relative_path})
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    with pytest.raises(CorpusError, match=f"manifest {re.escape(str(path))}: file path {re.escape(repr(relative_path))}"):
+        load_manifest(path)
 
 
 def test_package_slug():

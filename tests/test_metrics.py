@@ -5,6 +5,7 @@ import re
 import statistics
 import tempfile
 from collections import Counter
+from dataclasses import asdict
 from pathlib import Path
 
 from hypothesis import example, given, settings
@@ -132,7 +133,6 @@ SOURCE_BYTES = st.one_of(
 @given(SOURCE_BYTES)
 def test_byte_builtins_match_per_byte_loops(raw):
     assert raw.isascii() == all(b < 128 for b in raw)  # FileMetrics.is_ascii
-    assert rsource.encoding(raw) == oracle_detect_encoding(raw)
     assert rsource.decode(raw) == (oracle_decode_best_effort(raw), oracle_detect_encoding(raw))
     text, was_ascii = normalize_encoding(raw)
     assert was_ascii == all(b < 128 for b in raw)
@@ -141,11 +141,11 @@ def test_byte_builtins_match_per_byte_loops(raw):
 
 
 def test_detect_encoding_ladder():
-    assert rsource.encoding(b"plain") == "ascii"
-    assert rsource.encoding("caf\u00e9".encode("utf-8")) == "utf-8"
-    assert rsource.encoding(b"caf\xe9") == "iso-8859-1"
-    assert rsource.encoding(b"smart \x93quote\x94") == "windows-1252"
-    assert rsource.encoding(b"\x00\x01binary") == "binary"
+    assert rsource.decode(b"plain")[1] == "ascii"
+    assert rsource.decode("caf\u00e9".encode("utf-8"))[1] == "utf-8"
+    assert rsource.decode(b"caf\xe9")[1] == "iso-8859-1"
+    assert rsource.decode(b"smart \x93quote\x94")[1] == "windows-1252"
+    assert rsource.decode(b"\x00\x01binary")[1] == "binary"
     assert rsource.decode(b"caf\xe9\x00") == ("caf\u00e9\x00", "binary")
 
 
@@ -158,7 +158,7 @@ def test_block_fold_matches_one_block_and_oracle(raw: bytes, cuts: list[int]):
     bounds = sorted(min(cut, len(raw)) for cut in cuts)
     blocks = [raw[start:end] for start, end in zip([0, *bounds], [*bounds, len(raw)])]
     assert b"".join(blocks) == raw
-    assert rsource._fold_encoding(blocks) == rsource.encoding(raw) == oracle_detect_encoding(raw)
+    assert rsource._fold_encoding(blocks) == rsource.decode(raw)[1] == oracle_detect_encoding(raw)
 
 
 def test_file_encoding_reads_one_block_of_a_file_with_a_nul_in_it(tmp_path: Path, monkeypatch):
@@ -337,7 +337,7 @@ def test_line_scan_filters_match_the_unfiltered_loop(text):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "a.R"
         path.write_text(text, encoding="utf-8")
-        fm = analyze_r_file(path).to_dict()
+        fm = asdict(analyze_r_file(path))
     expected = oracle_line_scans(text)
     assert {key: fm[key] for key in expected} == expected
 
@@ -485,6 +485,18 @@ def test_overall_comment_share_matches_hand_count(tmp_path: Path):
     c, fms = analyze_package(manifest)
     summary = corpus_stats(fms, [c])
     assert summary["overall_comment_share"] == 2 / 10  # 2 comment lines of 10 commented+code
+
+
+def test_lines_per_module_averages_over_files_that_define_modules(tmp_path: Path):
+    files = {
+        "funs.R": "f <- function(x) {\n  x + 1\n}\ng <- function(y) y\nz <- 3\n",  # 5 code lines, 2 functions
+        "cls.R": 'setClass("P", representation(x = "numeric"))\nq <- 1\n',  # 2 code lines, 1 class
+        "plain.R": "# no module\nx <- 1\n",  # no module: left out
+    }
+    c, fms = analyze_package(make_package(tmp_path, "modules", files))
+    summary = corpus_stats(fms, [c])
+    assert summary["files_with_modules"] == 2
+    assert summary["approx_code_lines_per_module"] == (5 / 2 + 2 / 1) / 2
 
 
 def test_single_package_distributions_have_one_sample(tmp_path: Path):

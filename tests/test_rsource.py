@@ -169,7 +169,7 @@ def reads(monkeypatch) -> Counter:
 
     monkeypatch.setattr(builtins, "open", counted_open)
     monkeypatch.setattr(Path, "open", path_open)
-    for name in ("decode", "encoding", "file_encoding"):
+    for name in ("decode", "file_encoding"):
         def counted(arg, _real=getattr(rsource, name), _name=f"rsource.{name}"):
             calls[_name] += 1
             return _real(arg)

@@ -3,10 +3,12 @@ from __future__ import annotations
 import json
 import sys
 import threading
+from dataclasses import asdict
 from pathlib import Path
 
 import pytest
 
+import reprorun.store as store_mod
 from reprorun.executor import ExecutionOutcome
 from reprorun.ingest import PackageManifest, PackageRef
 from reprorun.store import RunStore, StoreError
@@ -37,7 +39,7 @@ def test_round_trip_100_records(tmp_path: Path):
     assert loaded.run_id == store.run_id
     assert loaded.config == {"jobs": 2}
     assert not loaded.truncated_tail
-    assert [o.to_dict() for o in loaded.outcomes()] == [outcome(i).to_dict() for i in range(100)]
+    assert [asdict(o) for o in loaded.outcomes()] == [asdict(outcome(i)) for i in range(100)]
 
 
 def test_outcome_record_without_optional_keys_loads_defaults(tmp_path: Path):
@@ -116,7 +118,7 @@ def test_open_cuts_a_record_whose_newline_never_reached_the_disk(tmp_path: Path,
     store.append_outcome(outcome(1))
     store.close()
     with open(path, "a", encoding="utf-8") as fh:
-        fh.write(json.dumps({"kind": "outcome", **outcome(2).to_dict()}))  # no "\n"
+        fh.write(json.dumps({"kind": "outcome", **asdict(outcome(2))}))  # no "\n"
     loaded = RunStore.load(path)
     assert loaded.truncated_tail
     assert [o.file for o in loaded.outcomes()] == ["f1.R"]
@@ -200,7 +202,7 @@ def _store_of_10k_outcomes(path: Path) -> Path:
     """A 10,001-line store over 4 MiB: its config record and 10,000 outcomes of distinct keys."""
     store = RunStore.open(path)
     for i in range(10_000):
-        store.append_outcome(ExecutionOutcome(**{**outcome(i).to_dict(), "stderr_tail": "é" * 200}))
+        store.append_outcome(ExecutionOutcome(**{**asdict(outcome(i)), "stderr_tail": "é" * 200}))
     store.close()
     assert path.stat().st_size > 4 * 2**20
     return path
@@ -226,7 +228,7 @@ def test_records_reads_every_whole_record_in_log_order(tmp_path: Path):
     stale = outcome(1)
     store.append_outcome(stale)
     store.append_event("pkg1", "raw", "completed")
-    rerun = ExecutionOutcome(**{**stale.to_dict(), "verdict": "error"})
+    rerun = ExecutionOutcome(**{**asdict(stale), "verdict": "error"})
     store.append_outcome(rerun)
     store.close()
     whole = path.read_bytes()
@@ -238,9 +240,9 @@ def test_records_reads_every_whole_record_in_log_order(tmp_path: Path):
 
     assert list(loaded.records) == [
         {"kind": "config", "run_id": "r1", "config": {}},
-        {"kind": "outcome", **stale.to_dict()},
+        {"kind": "outcome", **asdict(stale)},
         {"kind": "package_event", "package_id": "pkg1", "mode": "raw", "event": "completed", "detail": None},
-        {"kind": "outcome", **rerun.to_dict()},
+        {"kind": "outcome", **asdict(rerun)},
     ]
     assert (loaded.valid_end, loaded.truncated_tail, loaded.outcomes(), loaded.events(), loaded.completed_runs()) == views
 
@@ -261,13 +263,14 @@ def test_open_builds_no_outcome(tmp_path: Path, monkeypatch):
         store.append_outcome(outcome(i))
     store.append_event("pkg1", "raw", "completed")
     store.close()
-    from_dict, calls = ExecutionOutcome.from_dict, []
+    from_fields, calls = store_mod.from_fields, []
 
-    def counting(data):
-        calls.append(data)
-        return from_dict(data)
+    def counting(cls, data, **values):
+        if cls is ExecutionOutcome:
+            calls.append(data)
+        return from_fields(cls, data, **values)
 
-    monkeypatch.setattr(ExecutionOutcome, "from_dict", counting)
+    monkeypatch.setattr(store_mod, "from_fields", counting)
     resumed = RunStore.open(path)
     assert resumed.completed_runs() == {("pkg1", "raw")}
     resumed.append_outcome(outcome(20))
@@ -292,7 +295,7 @@ def test_write_that_fails_leaves_the_views_unchanged(tmp_path: Path):
     store._fh = FullDisk()
     views = store.outcomes(), store.packages(), store.events(), store.completed_runs()
     for record in (
-        {"kind": "outcome", **outcome(2).to_dict()},
+        {"kind": "outcome", **asdict(outcome(2))},
         {"kind": "package", "package_id": "pkg2"},
         {"kind": "package_event", "package_id": "pkg1", "mode": "raw", "event": "completed"},
     ):
@@ -308,7 +311,7 @@ def test_latest_outcome_of_each_key_wins(tmp_path: Path):
     stale, other = outcome(1), outcome(2)
     store.append_outcome(stale)
     store.append_outcome(other)
-    rerun = ExecutionOutcome(**{**stale.to_dict(), "verdict": "error", "exit_code": 1})
+    rerun = ExecutionOutcome(**{**asdict(stale), "verdict": "error", "exit_code": 1})
     store.append_outcome(rerun)
     store.append_outcome(outcome(1, mode="cleaned"))  # another mode is another key
     store.close()
