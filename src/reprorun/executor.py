@@ -3,9 +3,13 @@
 The unit of work is one package under one cleaning mode: ``run_matrix``
 schedules units over a thread pool, and the store marks each finished
 unit with one event, which is what a resumed run skips. Inside a unit,
-each interpreter gets a fresh copy of the package's fetched files,
-whose R files the cleaned mode cleans from the package's own sources; files
-execute sequentially in lexicographic filename order against a per-file
+each interpreter starts in a workspace that holds exactly the package's
+fetched files, whose R files the cleaned mode cleans from the package's
+own sources. The unit copies them into one workspace and hands it from
+each interpreter to the next by renaming it; before that, every entry an
+interpreter changed, added or removed is restored, so a file the
+interpreters leave alone is copied once per unit. Files execute
+sequentially in lexicographic filename order against a per-file
 wall-clock budget and a cumulative per-package budget. Each child runs in its own process group. Its exit
 is awaited on a pidfd (Linux), so it is seen as soon as it happens; where
 ``os.pidfd_open`` is missing or fails, ``Popen.wait`` polls instead. When
@@ -23,12 +27,13 @@ import re
 import select
 import shutil
 import signal
+import stat
 import subprocess
 import tempfile
 import time
 from concurrent.futures import ThreadPoolExecutor, as_completed
 from dataclasses import dataclass, field
-from pathlib import Path
+from pathlib import Path, PurePosixPath
 
 from . import cleaner, rsource
 from .ingest import PackageManifest, package_slug
@@ -106,6 +111,9 @@ def validate_interpreters(specs: list[InterpreterSpec]) -> None:
     if len(set(labels)) != len(labels):
         raise InterpreterConfigError(f"duplicate interpreter labels in {labels}")
     for spec in specs:
+        # a label names a workspace under the scratch root, so it must stay one path component
+        if any(sep and sep in spec.label for sep in ("/", os.sep, os.altsep)):
+            raise InterpreterConfigError(f"interpreter label {spec.label!r} holds a path separator")
         if not any("{script}" in part for part in spec.launch_command):
             raise InterpreterConfigError(
                 f"interpreter {spec.label!r} launch command has no {{script}} placeholder"
@@ -283,19 +291,106 @@ def execute_file(
     return outcome
 
 
-def _populate_workspace(workspace: Path, plan: dict[str, str | Path], package_id: str) -> None:
-    """Fill a fresh workspace from its plan: write each text, copy each source file."""
+def _key(st: os.stat_result) -> tuple:
+    """What must be unchanged for a workspace entry this unit made to be kept.
+
+    A directory's times, size and link count move whenever an entry in it
+    comes or goes, so only its identity and mode count; its entries are
+    checked one by one.
+    """
+    if stat.S_ISDIR(st.st_mode):
+        return (st.st_ino, st.st_mode, st.st_uid, st.st_gid)
+    return (st.st_ino, st.st_mode, st.st_nlink, st.st_uid, st.st_gid, st.st_size, st.st_mtime_ns, st.st_ctime_ns)
+
+
+def _keep_unchanged(path: str, relative_path: str, written: dict[str, tuple], kept: set[str]) -> None:
+    """Keep path if it still has the key recorded when this unit made it, else remove it.
+
+    A kept directory has its entries checked the same way. Symlinks are
+    never followed: one that replaced a planned path has another key and
+    is removed, not its target.
+    """
     try:
-        if workspace.exists():
-            shutil.rmtree(workspace)
-        workspace.mkdir(parents=True)
-        for relative_path, source in plan.items():
-            dest = workspace / relative_path
-            dest.parent.mkdir(parents=True, exist_ok=True)
-            if isinstance(source, str):
-                dest.write_text(source, encoding="utf-8")
-            else:
-                shutil.copyfile(source, dest)
+        st = os.lstat(path)
+    except FileNotFoundError:
+        return
+    if written.get(relative_path) != _key(st):
+        if stat.S_ISDIR(st.st_mode):
+            shutil.rmtree(path)
+        else:
+            os.unlink(path)
+        return
+    kept.add(relative_path)
+    if stat.S_ISDIR(st.st_mode):
+        for name in os.listdir(path):
+            child = f"{relative_path}/{name}" if relative_path else name
+            _keep_unchanged(os.path.join(path, name), child, written, kept)
+
+
+def _write(dest: str, source: str | Path, stamp_ns: int) -> tuple:
+    """Write one planned file, a cleaned text or a copy of its source, and return its key.
+
+    The file gets the unit's mtime stamp, which lies before any write a
+    child of the unit can make, so such a write changes the key even on a
+    file system with a coarse clock.
+    """
+    if isinstance(source, str):
+        with open(dest, "w", encoding="utf-8") as fh:
+            fh.write(source)
+    else:
+        shutil.copyfile(source, dest)
+    os.utime(dest, ns=(stamp_ns, stamp_ns))
+    return _key(os.lstat(dest))
+
+
+def _fill_workspace(workspace: Path, plan: dict[str, str | Path], written: dict[str, tuple], stamp_ns: int) -> None:
+    """Make workspace hold exactly the plan.
+
+    ``written`` maps each path this unit made in the workspace to its key.
+    Every entry whose key is unchanged is kept; everything else is removed,
+    and each planned path that was not kept is made again and its key
+    recorded. With nothing recorded, the same call fills a new workspace
+    or replaces a leftover one.
+    """
+    root = os.fspath(workspace)
+    kept: set[str] = set()
+    _keep_unchanged(root, "", written, kept)
+    # the root ("") and the planned directories, parents first
+    for relative_path in ["", *sorted({str(d) for path in plan for d in PurePosixPath(path).parents} - {"."})]:
+        if relative_path not in kept:
+            path = os.path.join(root, relative_path)
+            os.makedirs(path)
+            written[relative_path] = _key(os.lstat(path))
+    for relative_path, source in plan.items():
+        if relative_path not in kept:
+            written[relative_path] = _write(os.path.join(root, relative_path), source, stamp_ns)
+
+
+def _prepare_workspace(
+    workspace: Path,
+    previous: Path | None,
+    plan: dict[str, str | Path],
+    written: dict[str, tuple],
+    stamp_ns: int,
+    package_id: str,
+) -> None:
+    """Give an interpreter its workspace: the one handed over, restored and renamed, else a fresh fill.
+
+    A restore or rename that fails falls back to a fresh fill, and what it
+    could not remove stays under the previous name, as after a removal.
+    Only a fresh fill that fails raises WorkspaceError.
+    """
+    if previous is not None:
+        try:
+            _fill_workspace(previous, plan, written, stamp_ns)
+            shutil.rmtree(workspace, ignore_errors=True)  # a leftover of an earlier run
+            os.rename(previous, workspace)
+            return
+        except OSError:
+            shutil.rmtree(previous, ignore_errors=True)
+    written.clear()
+    try:
+        _fill_workspace(workspace, plan, written, stamp_ns)
     except OSError as exc:
         raise WorkspaceError(f"workspace setup failed for {package_id}: {exc}") from exc
 
@@ -320,8 +415,16 @@ def execute_package(
     The per-package budget is cumulative per (interpreter x mode)
     workspace; once it is exhausted the remaining files get explicit
     "unassigned" outcomes rather than silently vanishing. So does a file
-    whose download failed, which is never run. A workspace is removed
-    after use, or after a failed set-up, unless ``keep_workspaces``.
+    whose download failed, which is never run.
+
+    The interpreters run one after another. The first gets a fresh
+    workspace; when it is done, the workspace is restored to the plan and
+    renamed for the next interpreter (``_prepare_workspace``). Each file
+    the unit writes is stamped with one mtime from before the unit, so a
+    child's write to it shows in its key. The last workspace is removed,
+    and so is one whose set-up failed or whose interpreter's run raised,
+    unless ``keep_workspaces``: then each interpreter's workspace stays
+    as that interpreter left it, and each interpreter gets a fresh one.
     """
     scratch_root = Path(scratch_root)
     slug = package_slug(manifest.ref.persistent_id)
@@ -342,11 +445,16 @@ def execute_package(
     except OSError as exc:
         raise WorkspaceError(f"workspace setup failed for {pid}: {exc}") from exc
 
+    written: dict[str, tuple] = {}  # path in the workspace -> key of what this unit made there
+    # before this unit, by more than any file system's timestamp granularity (FAT: 2 s)
+    stamp_ns = time.time_ns() - 2_000_000_000
+    previous: Path | None = None  # the workspace handed over by the previous interpreter
     outcomes: list[ExecutionOutcome] = []
-    for interpreter in interpreters:
+    for index, interpreter in enumerate(interpreters):
         workspace = scratch_root / f"{slug}__{interpreter.label}__{mode}"
+        hand_over = False
         try:
-            _populate_workspace(workspace, plan, pid)
+            _prepare_workspace(workspace, previous, plan, written, stamp_ns, pid)
             workdir = os.path.abspath(workspace)
             env = child_env(interpreter, extra_env)
             remaining = float(budget.per_package)
@@ -374,9 +482,11 @@ def execute_package(
                 outcomes.append(outcome)
                 if on_outcome is not None:
                     on_outcome(outcome)
+            hand_over = not keep_workspaces and index + 1 < len(interpreters)
         finally:
-            if not keep_workspaces:
+            if not (keep_workspaces or hand_over):
                 shutil.rmtree(workspace, ignore_errors=True)
+        previous = workspace if hand_over else None
     return outcomes
 
 

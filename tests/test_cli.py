@@ -266,6 +266,10 @@ def test_run_cleans_a_corpus_that_was_never_cleaned(tmp_path: Path):
         workspaces = sorted((tmp_path / "scratch-first").glob(f"{script.parent.name}__*__cleaned"))
         assert len(workspaces) == 3
         assert all((w / script.name).read_bytes() == script.read_bytes() for w in workspaces)
+        # each as its own interpreter left it: each installed dplyr in a workspace of its own
+        installed = [".stubr-library"] if script.name == "model.R" else []
+        assert all(sorted(p.name for p in w.iterdir()) == sorted([script.name, *installed]) for w in workspaces)
+        assert all((w / ".stubr-library").read_text() == "dplyr\n" for w in workspaces if installed)
 
 
 def test_stale_cleaned_tree_changes_no_verdict(tmp_path: Path):
@@ -380,6 +384,20 @@ def test_run_missing_interpreter_exit_5(tmp_path: Path):
         "--config", str(config), "--modes", "raw", "--scratch", str(tmp_path / "scratch"),
     ])
     assert code == 5
+
+
+def test_run_refuses_an_interpreter_label_that_leaves_the_scratch_root(tmp_path: Path, capsys):
+    make_package(tmp_path / "corpus", "pkg", {"a.R": "x <- 1\n"})
+    config = tmp_path / "run.ini"
+    config.write_text("[interpreter.v/../../outside]\ncommand = sh {script}\n", encoding="utf-8")
+    code = main([
+        "run", "--corpus", str(tmp_path / "corpus"), "--store", str(tmp_path / "work" / "s.jsonl"),
+        "--config", str(config), "--modes", "raw", "--scratch", str(tmp_path / "work" / "scratch"),
+        "--keep-workspaces",
+    ])
+    assert code == 5
+    assert "path separator" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["corpus", "run.ini"]
 
 
 def test_run_interpreter_that_cannot_start_exit_5(tmp_path: Path, capsys):

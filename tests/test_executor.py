@@ -213,6 +213,8 @@ def test_validate_interpreters():
         validate_interpreters([stub_spec("a"), stub_spec("a")])
     with pytest.raises(InterpreterConfigError):
         validate_interpreters([InterpreterSpec("x", ("Rscript",))])
+    with pytest.raises(InterpreterConfigError, match="path separator"):
+        validate_interpreters([stub_spec("v/../../outside")])
 
 
 # --- package execution ---------------------------------------------------------------
@@ -340,6 +342,123 @@ def test_a_leftover_workspace_is_replaced(tmp_path: Path):
     )
     assert [o.verdict for o in outcomes] == ["success"]
     assert sorted(p.name for p in workspace.iterdir()) == ["a.R"]
+
+
+# Run as the first interpreter of a unit: changes the workspace every way a child can, at once.
+MESS = """\
+printf 'XXXX' 1<> data.csv
+rm gone.txt
+chmod 700 mode.txt
+rm todir.txt && mkdir todir.txt
+rm tolink.txt && ln -s "$1" tolink.txt
+ln linked.txt hard.txt && printf 'YYYY' 1<> hard.txt
+chmod 700 sub
+echo added > added.txt && mkdir newdir && ln -s data.csv newlink
+echo dplyr > .stubr-library
+"""
+
+RESTORED = {
+    "a.R": MESS, "data.csv": "1234", "gone.txt": "g\n", "mode.txt": "m\n", "todir.txt": "d\n",
+    "tolink.txt": "l\n", "linked.txt": "abcd", "sub/x.csv": "x\n",
+}
+
+
+def _snapshot_spec(label: str, dest: Path) -> InterpreterSpec:
+    """An interpreter that copies its workspace to dest, symlinks and modes included."""
+    return InterpreterSpec(label, ("sh", "-c", 'cp -Rp . "$0"', str(dest), "{script}"))
+
+
+def _tree(root: Path) -> dict:
+    """Every entry under root: its kind and mode, and a file's bytes or a symlink's target."""
+    tree = {}
+    for path in sorted(root.rglob("*")):
+        st = path.lstat()
+        if path.is_symlink():
+            tree[path.relative_to(root).as_posix()] = ("link", os.readlink(path))
+        else:
+            tree[path.relative_to(root).as_posix()] = (
+                oct(st.st_mode), None if path.is_dir() else path.read_bytes()
+            )
+    return tree
+
+
+def test_the_next_interpreter_gets_the_package_files_back(tmp_path: Path):
+    manifest = make_package(tmp_path, "messy", RESTORED)
+    outside = tmp_path / "outside.txt"
+    outside.write_text("not ours\n", encoding="utf-8")
+    mess = InterpreterSpec("mess", ("sh", "{script}", str(outside)))
+    scratch = tmp_path / "scratch"
+    outcomes = execute_package(
+        manifest, [mess, _snapshot_spec("after", tmp_path / "after")], Budget(5, 10), "raw", scratch
+    )
+    assert [(o.interpreter_label, o.verdict) for o in outcomes] == [("mess", "success"), ("after", "success")]
+    execute_package(manifest, [_snapshot_spec("fresh", tmp_path / "fresh")], Budget(5, 10), "raw", scratch)
+    restored = _tree(tmp_path / "after")
+    assert restored == _tree(tmp_path / "fresh")
+    assert {path: content for path, (_, content) in restored.items() if content is not None} == {
+        path: content.encode() for path, content in RESTORED.items()
+    }
+    assert outside.read_text(encoding="utf-8") == "not ours\n"
+    assert list(scratch.iterdir()) == []
+
+
+@pytest.mark.parametrize("mode", ["raw", "cleaned"])
+def test_each_planned_file_is_written_once_per_unit(tmp_path: Path, monkeypatch, mode: str):
+    writes = []
+
+    def counted(dest, source, stamp_ns):
+        writes.append(Path(dest).name)
+        return real(dest, source, stamp_ns)
+
+    real = executor_mod._write
+    monkeypatch.setattr(executor_mod, "_write", counted)
+    files = {"a.R": "x <- 1\n", "b.R": "library(dplyr)\n", "data.csv": "1,2\n", "sub/c.R": "y <- 2\n"}
+    manifest = make_package(tmp_path, "still", files)
+    specs = [stub_spec("R1", preinstalled="dplyr"), stub_spec("R2", preinstalled="dplyr"), stub_spec("R3")]
+    outcomes = execute_package(manifest, specs, Budget(5, 10), mode, tmp_path / "scratch")
+    assert [o.verdict for o in outcomes] == ["success"] * 6 + ["success", "error", "success"]
+    assert sorted(writes) == ["a.R", "b.R", "c.R", "data.csv"]
+    assert list((tmp_path / "scratch").iterdir()) == []
+
+
+def test_a_failed_restore_falls_back_to_a_fresh_workspace(tmp_path: Path, monkeypatch):
+    real = executor_mod._fill_workspace
+
+    def unwritable_on_restore(workspace, plan, written, stamp_ns):
+        if written:
+            raise PermissionError(13, "Permission denied", os.fspath(workspace))
+        return real(workspace, plan, written, stamp_ns)
+
+    monkeypatch.setattr(executor_mod, "_fill_workspace", unwritable_on_restore)
+    manifest = make_package(tmp_path, "locked", {"a.R": 'writeLines("x", "out.txt")\n'})
+    scratch = tmp_path / "scratch"
+    outcomes = execute_package(
+        manifest, [stub_spec("R1"), _snapshot_spec("R2", tmp_path / "after")], Budget(5, 10), "raw", scratch
+    )
+    assert [o.verdict for o in outcomes] == ["success", "success"]
+    assert sorted(_tree(tmp_path / "after")) == ["a.R"]
+    assert list(scratch.iterdir()) == []
+
+
+@pytest.mark.parametrize("failure", ["missing interpreter", "set-up probe"])
+def test_a_unit_whose_interpreter_raises_leaves_no_workspace(tmp_path: Path, monkeypatch, failure: str):
+    manifest = make_package(tmp_path, "raises", {"a.R": "x <- 1\n", "b.csv": "1\n"})
+    specs = [stub_spec("R1"), InterpreterSpec("R2", ("/no/such/R2", "{script}"))]
+    expected = InterpreterConfigError
+    if failure == "set-up probe":
+
+        class Stop(Exception):
+            pass
+
+        def stop(*args, **kwargs):
+            raise Stop
+
+        monkeypatch.setattr(executor_mod, "execute_file", stop)
+        expected = Stop
+    scratch = tmp_path / "scratch"
+    with pytest.raises(expected):
+        execute_package(manifest, specs, Budget(5, 10), "raw", scratch)
+    assert list(scratch.iterdir()) == []
 
 
 def test_isolation_concurrent_divergent_data(tmp_path: Path):
