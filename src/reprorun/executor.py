@@ -5,23 +5,25 @@ schedules units over a thread pool, and the store marks each finished
 unit with one event, which is what a resumed run skips. Inside a unit,
 each interpreter starts in a workspace that holds exactly the package's
 fetched files, whose R files the cleaned mode cleans from the package's
-own sources. The unit copies them into one workspace and hands it from
-each interpreter to the next by renaming it; before that, every entry an
-interpreter changed, added or removed is restored, so a file the
-interpreters leave alone is copied once per unit. Files execute
-sequentially in lexicographic filename order against a per-file
-wall-clock budget and a cumulative per-package budget. Each child runs in its own process group. Its exit
-is awaited on a pidfd (Linux), so it is seen as soon as it happens; where
-``os.pidfd_open`` is missing or fails, ``Popen.wait`` polls instead. When
-the child exits or its budget runs out, its whole process group is
-killed, so no background process outlives the run. Interpreter
-invocation is an adapter: production configs launch real R (optionally
-containerized) while tests use the scripted stub in ``reprorun.stubr``,
-so the suite runs on machines without R.
+own sources. The unit copies them into one workspace for all of its
+interpreters and restores in place what each interpreter changed, added
+or removed, so a file the interpreters leave alone is copied once per
+unit. One remover deletes workspaces and entries, read-only ones too.
+Files execute sequentially in lexicographic filename order against a
+per-file wall-clock budget and a cumulative per-package budget. Each
+child runs in its own process group. Its exit is awaited on a pidfd
+(Linux), so it is seen as soon as it happens; where ``os.pidfd_open`` is
+missing or fails, ``Popen.wait`` polls instead. When the child exits or
+its budget runs out, its whole process group is killed, so no background
+process outlives the run. Interpreter invocation is an adapter:
+production configs launch real R (optionally containerized) while tests
+use the scripted stub in ``reprorun.stubr``, so the suite runs on
+machines without R.
 """
 
 from __future__ import annotations
 
+import contextlib
 import os
 import re
 import select
@@ -303,6 +305,31 @@ def _key(st: os.stat_result) -> tuple:
     return (st.st_ino, st.st_mode, st.st_nlink, st.st_uid, st.st_gid, st.st_size, st.st_mtime_ns, st.st_ctime_ns)
 
 
+def _open_up(directory: str | Path) -> None:
+    """Give directory and every directory under it u+rwx; symlinks and their targets are left alone."""
+    os.chmod(directory, stat.S_IRWXU)
+    with os.scandir(directory) as entries:
+        for entry in entries:
+            if entry.is_dir(follow_symlinks=False):
+                _open_up(entry.path)
+
+
+def _remove(path: str | Path, st: os.stat_result) -> None:
+    """Remove a workspace, or an entry in one, whose ``os.lstat`` is st; a symlink goes, not its target.
+
+    If a directory a child locked makes rmtree fail, every directory in
+    the tree is opened up and rmtree runs again.
+    """
+    if not stat.S_ISDIR(st.st_mode):
+        os.unlink(path)
+        return
+    try:
+        shutil.rmtree(path)
+    except PermissionError:
+        _open_up(path)
+        shutil.rmtree(path)
+
+
 def _keep_unchanged(path: str, relative_path: str, written: dict[str, tuple], kept: set[str]) -> None:
     """Keep path if it still has the key recorded when this unit made it, else remove it.
 
@@ -315,10 +342,7 @@ def _keep_unchanged(path: str, relative_path: str, written: dict[str, tuple], ke
     except FileNotFoundError:
         return
     if written.get(relative_path) != _key(st):
-        if stat.S_ISDIR(st.st_mode):
-            shutil.rmtree(path)
-        else:
-            os.unlink(path)
+        _remove(path, st)
         return
     kept.add(relative_path)
     if stat.S_ISDIR(st.st_mode):
@@ -366,35 +390,6 @@ def _fill_workspace(workspace: Path, plan: dict[str, str | Path], written: dict[
             written[relative_path] = _write(os.path.join(root, relative_path), source, stamp_ns)
 
 
-def _prepare_workspace(
-    workspace: Path,
-    previous: Path | None,
-    plan: dict[str, str | Path],
-    written: dict[str, tuple],
-    stamp_ns: int,
-    package_id: str,
-) -> None:
-    """Give an interpreter its workspace: the one handed over, restored and renamed, else a fresh fill.
-
-    A restore or rename that fails falls back to a fresh fill, and what it
-    could not remove stays under the previous name, as after a removal.
-    Only a fresh fill that fails raises WorkspaceError.
-    """
-    if previous is not None:
-        try:
-            _fill_workspace(previous, plan, written, stamp_ns)
-            shutil.rmtree(workspace, ignore_errors=True)  # a leftover of an earlier run
-            os.rename(previous, workspace)
-            return
-        except OSError:
-            shutil.rmtree(previous, ignore_errors=True)
-    written.clear()
-    try:
-        _fill_workspace(workspace, plan, written, stamp_ns)
-    except OSError as exc:
-        raise WorkspaceError(f"workspace setup failed for {package_id}: {exc}") from exc
-
-
 def execute_package(
     manifest: PackageManifest,
     interpreters: list[InterpreterSpec],
@@ -417,14 +412,14 @@ def execute_package(
     "unassigned" outcomes rather than silently vanishing. So does a file
     whose download failed, which is never run.
 
-    The interpreters run one after another. The first gets a fresh
-    workspace; when it is done, the workspace is restored to the plan and
-    renamed for the next interpreter (``_prepare_workspace``). Each file
-    the unit writes is stamped with one mtime from before the unit, so a
-    child's write to it shows in its key. The last workspace is removed,
-    and so is one whose set-up failed or whose interpreter's run raised,
-    unless ``keep_workspaces``: then each interpreter's workspace stays
-    as that interpreter left it, and each interpreter gets a fresh one.
+    The interpreters run one after another in one workspace,
+    ``<slug>__<mode>``. Before each, ``_fill_workspace`` makes it hold
+    exactly the plan: the first call fills it, a later one restores what
+    the previous interpreter changed. Each file the unit writes is stamped
+    with one mtime from before the unit, so a child's write to it shows in
+    its key. When the unit ends, finished or raised, its workspace is
+    removed, unless ``keep_workspaces``: then each interpreter gets a fresh
+    fill of its own, ``<slug>__<label>__<mode>``, kept as it left it.
     """
     scratch_root = Path(scratch_root)
     slug = package_slug(manifest.ref.persistent_id)
@@ -448,13 +443,17 @@ def execute_package(
     written: dict[str, tuple] = {}  # path in the workspace -> key of what this unit made there
     # before this unit, by more than any file system's timestamp granularity (FAT: 2 s)
     stamp_ns = time.time_ns() - 2_000_000_000
-    previous: Path | None = None  # the workspace handed over by the previous interpreter
+    workspace = scratch_root / f"{slug}__{mode}"
     outcomes: list[ExecutionOutcome] = []
-    for index, interpreter in enumerate(interpreters):
-        workspace = scratch_root / f"{slug}__{interpreter.label}__{mode}"
-        hand_over = False
-        try:
-            _prepare_workspace(workspace, previous, plan, written, stamp_ns, pid)
+    try:
+        for interpreter in interpreters:
+            if keep_workspaces:  # each interpreter's workspace stays as that interpreter left it
+                workspace = scratch_root / f"{slug}__{interpreter.label}__{mode}"
+                written.clear()
+            try:
+                _fill_workspace(workspace, plan, written, stamp_ns)
+            except OSError as exc:
+                raise WorkspaceError(f"workspace setup failed for {pid}: {exc}") from exc
             workdir = os.path.abspath(workspace)
             env = child_env(interpreter, extra_env)
             remaining = float(budget.per_package)
@@ -482,11 +481,10 @@ def execute_package(
                 outcomes.append(outcome)
                 if on_outcome is not None:
                     on_outcome(outcome)
-            hand_over = not keep_workspaces and index + 1 < len(interpreters)
-        finally:
-            if not (keep_workspaces or hand_over):
-                shutil.rmtree(workspace, ignore_errors=True)
-        previous = workspace if hand_over else None
+    finally:
+        if not keep_workspaces:
+            with contextlib.suppress(OSError):  # best effort: a removal cannot fail a finished unit
+                _remove(workspace, os.lstat(workspace))
     return outcomes
 
 

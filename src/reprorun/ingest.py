@@ -589,6 +589,8 @@ def fetch_package(
             entry.error = str(exc)
             if manifest.fetch_status == FETCH_OK:
                 manifest.fetch_status = FETCH_PARTIAL
+        if entry.error:  # a file an earlier fetch left under this name must not count as fetched
+            (pkg_dir / name).unlink(missing_ok=True)
     return verify_checksums(manifest)
 
 

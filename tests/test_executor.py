@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import errno
 import os
+import shutil
+import subprocess
 import sys
 import time
 from collections import Counter
@@ -332,18 +334,6 @@ def test_workspace_destroyed_unless_keep(tmp_path: Path):
     assert len(list(scratch.iterdir())) == 1
 
 
-def test_a_leftover_workspace_is_replaced(tmp_path: Path):
-    manifest = make_package(tmp_path, "left", {"a.R": "x <- 1\n"})
-    workspace = tmp_path / "scratch" / "local_left__stubR__raw"
-    workspace.mkdir(parents=True)
-    (workspace / "stale.txt").write_text("from an earlier run\n", encoding="utf-8")
-    outcomes = execute_package(
-        manifest, [stub_spec()], Budget(5, 10), "raw", tmp_path / "scratch", keep_workspaces=True
-    )
-    assert [o.verdict for o in outcomes] == ["success"]
-    assert sorted(p.name for p in workspace.iterdir()) == ["a.R"]
-
-
 # Run as the first interpreter of a unit: changes the workspace every way a child can, at once.
 MESS = """\
 printf 'XXXX' 1<> data.csv
@@ -380,6 +370,23 @@ def _tree(root: Path) -> dict:
                 oct(st.st_mode), None if path.is_dir() else path.read_bytes()
             )
     return tree
+
+
+@pytest.mark.parametrize("keep_workspaces", [True, False])
+def test_a_leftover_workspace_is_replaced(tmp_path: Path, keep_workspaces: bool):
+    manifest = make_package(tmp_path, "left", {"a.R": "x <- 1\n"})
+    scratch = tmp_path / "scratch"
+    workspace = scratch / ("local_left__snap__raw" if keep_workspaces else "local_left__raw")
+    (workspace / "locked").mkdir(parents=True)
+    (workspace / "locked" / "stale.txt").write_text("from an earlier run\n", encoding="utf-8")
+    (workspace / "locked").chmod(0o555)
+    outcomes = execute_package(
+        manifest, [_snapshot_spec("snap", tmp_path / "seen")], Budget(5, 10), "raw", scratch,
+        keep_workspaces=keep_workspaces,
+    )
+    assert [o.verdict for o in outcomes] == ["success"]
+    assert sorted(_tree(tmp_path / "seen")) == ["a.R"]
+    assert [p.name for p in scratch.iterdir()] == (["local_left__snap__raw"] if keep_workspaces else [])
 
 
 def test_the_next_interpreter_gets_the_package_files_back(tmp_path: Path):
@@ -421,23 +428,57 @@ def test_each_planned_file_is_written_once_per_unit(tmp_path: Path, monkeypatch,
     assert list((tmp_path / "scratch").iterdir()) == []
 
 
-def test_a_failed_restore_falls_back_to_a_fresh_workspace(tmp_path: Path, monkeypatch):
-    real = executor_mod._fill_workspace
+# Run as each interpreter of a unit: records the workspace it was given, then locks what it leaves.
+LOCK = """\
+find . | LC_ALL=C sort >> "$1"
+mkdir -p out/deep && echo r > out/deep/res.txt && ln -s "$2" outside
+chmod 555 out/deep "$3"
+"""
 
-    def unwritable_on_restore(workspace, plan, written, stamp_ns):
-        if written:
-            raise PermissionError(13, "Permission denied", os.fspath(workspace))
-        return real(workspace, plan, written, stamp_ns)
+# Runs one unit twice on one scratch root, in a child process, so root can drop the
+# capabilities that let it ignore permission bits.
+LOCKED_RUNS = """\
+import sys
+from reprorun.executor import Budget, InterpreterSpec, execute_package
+from reprorun.ingest import load_local_package
 
-    monkeypatch.setattr(executor_mod, "_fill_workspace", unwritable_on_restore)
-    manifest = make_package(tmp_path, "locked", {"a.R": 'writeLines("x", "out.txt")\n'})
-    scratch = tmp_path / "scratch"
-    outcomes = execute_package(
-        manifest, [stub_spec("R1"), _snapshot_spec("R2", tmp_path / "after")], Budget(5, 10), "raw", scratch
+package, scratch, seen, outside = sys.argv[1:]
+specs = [
+    InterpreterSpec(label, ("sh", "{script}", f"{seen}/{label}", outside, locked))
+    for label, locked in (("R1", "."), ("R2", "out"), ("R3", "."))
+]
+for _ in range(2):
+    print(*(o.verdict for o in execute_package(load_local_package(package), specs, Budget(5, 10), "raw", scratch)))
+"""
+
+
+def test_a_workspace_a_child_locked_is_restored_and_removed(tmp_path: Path):
+    command = [sys.executable, "-c", LOCKED_RUNS]
+    if os.geteuid() == 0:
+        setpriv = shutil.which("setpriv")
+        if setpriv is None:
+            pytest.skip("root ignores permission bits, and setpriv is not there to drop that capability")
+        command = [setpriv, "--bounding-set=-dac_override,-dac_read_search,-fowner", *command]
+    make_package(tmp_path, "locking", {"a.R": LOCK, "data.csv": "1,2\n", "sub/x.csv": "x\n"})
+    outside = tmp_path / "outside"
+    (outside / "locked").mkdir(parents=True)
+    (outside / "locked" / "keep.txt").write_text("not ours\n", encoding="utf-8")
+    (outside / "locked").chmod(0o555)
+    before = _tree(outside)
+    scratch, seen = tmp_path / "scratch", tmp_path / "seen"
+    seen.mkdir()
+    env = {**os.environ, "PYTHONPATH": str(Path(executor_mod.__file__).parents[1])}
+    done = subprocess.run(
+        [*command, str(tmp_path / "locking"), str(scratch), str(seen), str(outside)],
+        capture_output=True, text=True, env=env, timeout=60,
     )
-    assert [o.verdict for o in outcomes] == ["success", "success"]
-    assert sorted(_tree(tmp_path / "after")) == ["a.R"]
+    assert (done.returncode, done.stdout) == (0, "success success success\n" * 2), done.stderr
+    given = "".join(f"{path}\n" for path in (".", "./a.R", "./data.csv", "./sub", "./sub/x.csv"))
+    assert {p.name: p.read_text(encoding="utf-8") for p in seen.iterdir()} == {
+        label: given * 2 for label in ("R1", "R2", "R3")
+    }
     assert list(scratch.iterdir()) == []
+    assert _tree(outside) == before
 
 
 @pytest.mark.parametrize("failure", ["missing interpreter", "set-up probe"])

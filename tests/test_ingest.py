@@ -266,12 +266,17 @@ def test_file_items_of_other_shapes(tmp_path: Path):
         {"label": "new.R", "dataFile": {"id": 2, "checksum": {"type": "SHA-3", "value": "ab"}}},
         {"label": "lost.R", "dataFile": {"filename": "lost.R"}},
     ]
-    manifest = fetch_package(PackageRef("doi:10.5072/FK2/SHAPES"), tmp_path, ListingClient(items))
+    ref = PackageRef("doi:10.5072/FK2/SHAPES")
+    stale = tmp_path / package_slug(ref.persistent_id) / "lost.R"
+    stale.parent.mkdir()
+    stale.write_text("from an earlier fetch\n", encoding="utf-8")
+    manifest = fetch_package(ref, tmp_path, ListingClient(items))
     old, new, lost = manifest.files
     assert (old.checksum, old.verified) == ({"algorithm": "MD5", "value": md5}, "ok")
     assert (new.verified, new.error) == ("mismatch", "unsupported checksum algorithm 'SHA-3'")
     assert (lost.verified, lost.error) == ("unchecked", "file item has no dataFile.id")
     assert not (Path(manifest.root) / "lost.R").exists()
+    assert manifest.unfetched() == {"lost.R"}
     assert manifest.fetch_status == "partial"
 
 
