@@ -144,16 +144,19 @@ def cmd_ingest(args) -> int:
             print(f"skip {ref.persistent_id}: manifest exists")
         else:
             todo.append(ref)
-    if args.local:
-        manifests = [local] if todo else []
-    else:  # each manifest comes back verified by the worker that fetched it
-        manifests = ingest.fetch_many(
-            todo, dest / "packages", lambda: ingest.DataverseClient(api_base), jobs=args.jobs
-        )
-
     manifests_dir.mkdir(parents=True, exist_ok=True)
-    for manifest in manifests:
+
+    def save(manifest: ingest.PackageManifest) -> ingest.PackageManifest:
         ingest.save_manifest(manifest, manifests_dir / f"{package_slug(manifest.ref.persistent_id)}.json")
+        return manifest
+
+    if args.local:
+        manifests = [save(local)] if todo else []
+    else:  # the worker that fetched each package verifies and saves its manifest, so a stop keeps those done
+        manifests = ingest.fetch_many(
+            todo, dest / "packages", lambda: ingest.DataverseClient(api_base), jobs=args.jobs, save=save
+        )
+    for manifest in manifests:
         print(f"fetched {manifest.ref.persistent_id}: {len(manifest.files)} files, status {manifest.fetch_status}")
     print(f"ingested {len(manifests)} of {len(refs)} listed packages into {dest}")
     return EXIT_OK

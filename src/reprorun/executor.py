@@ -18,7 +18,11 @@ its budget runs out, its whole process group is killed, so no background
 process outlives the run. Interpreter invocation is an adapter:
 production configs launch real R (optionally containerized) while tests
 use the scripted stub in ``reprorun.stubr``, so the suite runs on
-machines without R.
+machines without R. Every run ends with one of ``VERDICTS``; an error
+gets the first category in ``_CLASSIFICATION_RULES`` whose pattern finds
+a match in its stderr, else ``other``. ``ERROR_CATEGORIES`` lists them in
+that order; the store refuses an outcome off these two tuples, and a
+report breaks a tie between categories by that order.
 """
 
 from __future__ import annotations
@@ -44,6 +48,7 @@ VERDICT_SUCCESS = "success"
 VERDICT_ERROR = "error"
 VERDICT_TLE = "tle"
 VERDICT_UNASSIGNED = "unassigned"
+VERDICTS = (VERDICT_SUCCESS, VERDICT_ERROR, VERDICT_TLE, VERDICT_UNASSIGNED)
 
 # each (package, mode) unit ends with one of these events in the store
 EVENT_COMPLETED = "completed"
@@ -53,35 +58,17 @@ EVENT_INFRASTRUCTURE_FAILURE = "infrastructure_failure"
 MODE_RAW = "raw"
 MODE_CLEANED = "cleaned"
 
-CATEGORY_SETWD = "setwd"
-CATEGORY_LIBRARY = "library"
-CATEGORY_FILE = "file_path_output"
-CATEGORY_OBJECT = "object_not_found"
-CATEGORY_OTHER = "other"
-
-ERROR_CATEGORIES = (CATEGORY_SETWD, CATEGORY_LIBRARY, CATEGORY_FILE, CATEGORY_OBJECT, CATEGORY_OTHER)
-
 DEFAULT_STDERR_TAIL = 16 * 1024
 
-# First matching rule wins, in this order.
-_CLASSIFICATION_RULES: list[tuple[str, list[re.Pattern]]] = [
-    (CATEGORY_SETWD, [re.compile(p) for p in (r"cannot change working directory", r"setwd")]),
-    (
-        CATEGORY_LIBRARY,
-        [
-            re.compile(p)
-            for p in (r"there is no package called", r"unable to load", r"package .* is not available")
-        ],
-    ),
-    (
-        CATEGORY_FILE,
-        [
-            re.compile(p)
-            for p in (r"cannot open file", r"No such file or directory", r"cannot open the connection")
-        ],
-    ),
-    (CATEGORY_OBJECT, [re.compile(r"object .* not found")]),
-]
+# One pattern per error category: the first that finds a match in stderr names it, in this order.
+_CLASSIFICATION_RULES = (
+    ("setwd", re.compile(r"cannot change working directory|setwd")),
+    ("library", re.compile(r"there is no package called|unable to load|package .* is not available")),
+    ("file_path_output", re.compile(r"cannot open file|No such file or directory|cannot open the connection")),
+    ("object_not_found", re.compile(r"object .* not found")),
+)
+CATEGORY_OTHER = "other"  # the category of an error that no rule matches
+ERROR_CATEGORIES = (*(category for category, _ in _CLASSIFICATION_RULES), CATEGORY_OTHER)
 
 
 class InterpreterConfigError(Exception):
@@ -151,8 +138,8 @@ class ExecutionOutcome:
 
 def classify_error(stderr: str) -> str:
     """Map interpreter stderr to an error category; first matching rule wins."""
-    for category, patterns in _CLASSIFICATION_RULES:
-        if any(p.search(stderr) for p in patterns):
+    for category, pattern in _CLASSIFICATION_RULES:
+        if pattern.search(stderr):
             return category
     return CATEGORY_OTHER
 

@@ -30,7 +30,7 @@ import ssl
 import threading
 import time
 import urllib.request
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import MISSING, asdict, dataclass, field, fields
 from datetime import datetime, timezone
 from pathlib import Path
@@ -175,7 +175,11 @@ def save_manifest(manifest: PackageManifest, path: Path | str) -> None:
 def load_manifest(path: Path | str) -> PackageManifest:
     """Read one saved manifest; a file that is not one raises CorpusError naming it.
 
-    So does a listed file path that is empty, absolute or has a ``..`` part: it would leave the package.
+    So does a field that a stage cannot read: a ``metadata`` that is
+    neither an object nor null, a ``persistent_id``, ``root`` or
+    ``fetch_status`` that is not a string, a file ``size`` that is not an
+    integer, or a listed file path that is empty, absolute or has a
+    ``..`` part, which would leave the package.
     """
     try:
         data = json.loads(Path(path).read_text(encoding="utf-8"))
@@ -184,10 +188,15 @@ def load_manifest(path: Path | str) -> PackageManifest:
         manifest = PackageManifest.from_dict(data)
         if not isinstance(manifest.ref.metadata, (dict, type(None))):
             raise ValueError("metadata is neither an object nor null")
+        for key in ("persistent_id", "root", "fetch_status"):  # the first two are required, so present here
+            if not isinstance(data.get(key, ""), str):
+                raise ValueError(f"{key} is not a string")
         for entry in manifest.files:
             parts = os.fspath(entry.relative_path).split("/")  # split, not Path: one per file, at every load
             if parts[0] == "" or ".." in parts or {"", "."}.issuperset(parts):  # absolute, climbing or empty
                 raise ValueError(f"file path {entry.relative_path!r} leaves the package")
+            if not isinstance(entry.size, int):
+                raise ValueError(f"file {entry.relative_path!r} has a size that is not an integer")
         return manifest
     except KeyError as exc:
         raise CorpusError(f"manifest {path} lacks required key {exc}") from None
@@ -599,12 +608,16 @@ def fetch_many(
     dest: Path | str,
     make_client,
     jobs: int = 4,
+    save=None,
 ) -> list[PackageManifest]:
-    """Fetch packages concurrently; one worker produces and verifies each manifest.
+    """Fetch packages concurrently; one worker produces, verifies and saves each manifest.
 
     Each worker thread calls ``make_client`` once and reuses that client,
-    and so its keep-alive connection, for every package it fetches. All
-    clients are closed on return.
+    and so its keep-alive connection, for every package it fetches. It
+    passes each manifest to ``save``, when one is given, as soon as the
+    manifest is made. A package that raises leaves the others to finish;
+    its error is raised once they have. Manifests come back in the order
+    of ``refs``. All clients are closed on return.
     """
     if not refs:
         return []
@@ -615,11 +628,19 @@ def fetch_many(
         if not hasattr(local, "client"):
             local.client = make_client()
             clients.append(local.client)
-        return fetch_package(ref, dest, local.client)
+        manifest = fetch_package(ref, dest, local.client)
+        if save is not None:
+            save(manifest)
+        return manifest
 
     try:
         with ThreadPoolExecutor(max_workers=max(1, jobs)) as pool:
-            return list(pool.map(fetch, refs))
+            futures = [pool.submit(fetch, ref) for ref in refs]
+            try:
+                wait(futures)
+            finally:  # an interrupt leaves the packages not yet started unfetched
+                pool.shutdown(cancel_futures=True)
+            return [future.result() for future in futures]
     finally:
         for client in clients:
             client.close()

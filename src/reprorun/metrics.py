@@ -157,12 +157,14 @@ def analyze_r_file(path: Path | str, package_id: str | None = None) -> FileMetri
         # each scan is skipped on a line that lacks the text every one of its matches holds
         if "function" in code:
             metrics.function_count += len(_FUNCTION_DEF_RE.findall(code))
-        metrics.class_count += len(rsource.find_calls(code, _CLASS_CALLS))
+        if "Class" in code:
+            metrics.class_count += len(rsource.find_calls(code, _CLASS_CALLS))
         if "<-" in code:
             variables.extend(_ARROW_ASSIGN_RE.findall(code))
         if "=" in code:
             variables.extend(_statement_level_eq_targets(code))
-        packages.extend(_load_call_packages(line, code))
+        if "library" in code or "require" in code or "install.packages" in code:
+            packages.extend(_load_call_packages(line, code))
     metrics.code_lines = kinds[rsource.CODE]
     metrics.comment_lines = kinds[rsource.COMMENT]
     metrics.blank_lines = kinds[rsource.BLANK]

@@ -14,9 +14,11 @@ read last held back until the next one shows it is not the final line,
 so a read holds one line of the file, not the whole log. No list of
 records is kept: each whole record, read or appended, is routed once by
 its kind into the one view that needs it. A record that lacks a key its
-view needs, holds a list or an object there, or holds a package field
-of a type reports cannot read, is a StoreError naming its line; an
-appended one is not written. A package is recorded once. Outcome
+view needs, holds a list or an object there, or holds a value reports
+cannot fold (a package field off ``PACKAGE_FIELD_TYPES``, an outcome key
+field that is not a string, a verdict off ``VERDICTS``, an error category
+neither null nor in ``ERROR_CATEGORIES``), is a StoreError naming its
+line; an appended one is not written. A package is recorded once. Outcome
 records become ``ExecutionOutcome`` objects, the latest of each
 (package, file, interpreter, mode) winning, for readers only: ``load``
 builds them as it reads, while ``open``, the writer's entry point, skips
@@ -34,7 +36,7 @@ from collections.abc import Callable, Iterator
 from dataclasses import asdict
 from pathlib import Path
 
-from .executor import EVENT_COMPLETED, ExecutionOutcome
+from .executor import ERROR_CATEGORIES, EVENT_COMPLETED, VERDICTS, ExecutionOutcome
 from .ingest import PackageManifest, from_fields
 
 log = logging.getLogger(__name__)
@@ -44,8 +46,11 @@ KIND_OUTCOME = "outcome"
 KIND_PACKAGE = "package"
 KIND_EVENT = "package_event"
 
-# The fields of a package record that reports read, and the JSON types each may hold.
-PACKAGE_FIELD_TYPES = {"metadata": (dict, type(None)), "publication_date": (str, type(None))}
+# The fields of a package record that reports read, and the JSON types each may hold where present.
+PACKAGE_FIELD_TYPES = {
+    "package_id": (str,), "fetch_status": (str,), "metadata": (dict, type(None)), "publication_date": (str, type(None))
+}
+_OUTCOME_CATEGORIES = (None, *ERROR_CATEGORIES)
 
 
 class StoreError(Exception):
@@ -141,8 +146,7 @@ class RunStore:
     def _route(self, record: dict, number: int | None = None, write: Callable | None = None) -> None:
         """Put one whole record into the view its kind feeds, after ``write`` when one is given.
 
-        A record that lacks a key its view needs, has an unhashable key
-        field or a package field off ``PACKAGE_FIELD_TYPES`` is a
+        A record the store refuses (see the module docstring) is a
         StoreError naming its line, raised before ``write`` is called.
         """
         kind = record.get("kind")
@@ -152,10 +156,14 @@ class RunStore:
             if kind == KIND_OUTCOME and self._outcomes is not None:
                 outcome = from_fields(ExecutionOutcome, record)
                 key = outcome.package_id, outcome.file, outcome.interpreter_label, outcome.cleaning_mode
+                if outcome.verdict not in VERDICTS or outcome.error_category not in _OUTCOME_CATEGORIES:
+                    fault = f"holds verdict {outcome.verdict!r} with error category {outcome.error_category!r}"
+                elif not str is type(key[0]) is type(key[1]) is type(key[2]) is type(key[3]):  # chained: all() costs 6x this per record
+                    fault = f"holds a key field that is not a string in {key!r}"
             elif kind == KIND_PACKAGE:
                 key = record["package_id"]
                 for name, types in PACKAGE_FIELD_TYPES.items():
-                    if not isinstance(record.get(name), types):
+                    if name in record and not isinstance(record[name], types):
                         fault = f"holds a {type(record[name]).__name__} in {name!r}"
             elif kind == KIND_EVENT and record.get("event") == EVENT_COMPLETED:
                 key = record["package_id"], record["mode"]

@@ -1,17 +1,23 @@
 from __future__ import annotations
 
+import contextlib
+import errno
+import io
 import json
 import os
 import re
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from reprorun import cleaner, cli, ingest
 from reprorun.cli import build_parser, main
-from reprorun.executor import ExecutionOutcome
+from reprorun.executor import ERROR_CATEGORIES, VERDICTS, ExecutionOutcome
 from reprorun.ingest import DataverseClient
 from reprorun.results import GROUP_COLUMNS
 from reprorun.store import RunStore
@@ -861,6 +867,136 @@ def test_ingest_local_twice_skips_the_second_time(tmp_path: Path, capsys):
     assert main(argv) == 0
     assert "skip local:pkg: manifest exists" in capsys.readouterr().out
     assert (tmp_path / "corpus" / "manifests" / "local_pkg.json").read_bytes() == saved
+
+
+def _comparable_manifest(path: Path) -> str:
+    data = json.loads(path.read_text(encoding="utf-8"))
+    del data["fetched_at"], data["root"]
+    return json.dumps(data)  # keeps the saved key order
+
+
+def test_ingest_stopped_by_one_package_keeps_the_manifests_of_the_others(tmp_path: Path, monkeypatch, capsys):
+    datasets = [
+        MockDataset(persistent_id=f"doi:10.5072/FK2/STOP{i}",
+                    files=[MockFile("a.R", f"x <- {i}\n".encode()), MockFile("data.csv", b"a,b\n1,2\n")])
+        for i in range(4)
+    ]
+    failing = datasets[2].persistent_id
+    fetch_package, fetched, disk = ingest.fetch_package, [], {"full": True}
+
+    def fetch_unless_the_disk_is_full(ref, dest, client):
+        fetched.append(ref.persistent_id)
+        if ref.persistent_id == failing and disk["full"]:
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+        return fetch_package(ref, dest, client)
+
+    with MockDataverse(datasets) as mock:
+        def argv(dest: Path) -> list[str]:
+            return ["ingest", "--dest", str(dest), "--api-base", mock.base_url, "--query", "*", "--jobs", "1"]
+
+        assert main(argv(tmp_path / "clean")) == 0
+        monkeypatch.setattr(ingest, "fetch_package", fetch_unless_the_disk_is_full)
+        capsys.readouterr()
+        assert main(argv(tmp_path / "corpus")) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        saved = sorted(p.name for p in (tmp_path / "corpus" / "manifests").iterdir())
+        assert saved == sorted(f"{ingest.package_slug(d.persistent_id)}.json" for d in datasets if d.persistent_id != failing)
+        for name in saved:
+            clean = tmp_path / "clean" / "manifests" / name
+            assert _comparable_manifest(tmp_path / "corpus" / "manifests" / name) == _comparable_manifest(clean)
+
+        disk["full"], fetched[:] = False, []
+        assert main(argv(tmp_path / "corpus")) == 0
+    out = capsys.readouterr().out
+    assert out.count("manifest exists") == 3 and f"fetched {failing}:" in out
+    assert fetched == [failing]
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("size", "7"), ("root", 5), ("persistent_id", 5), ("fetch_status", None)],
+)
+def test_analyze_on_a_mistyped_manifest_field_exits_2(tmp_path: Path, capsys, field: str, value):
+    corpus = _ingested_corpus(tmp_path)
+    path = corpus / "manifests" / "local_pkg.json"
+    data = json.loads(path.read_text(encoding="utf-8"))
+    (data["files"][0] if field == "size" else data)[field] = value
+    path.write_text(json.dumps(data), encoding="utf-8")
+    capsys.readouterr()
+    assert main(["analyze", "--corpus", str(corpus), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot read manifest {path}: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "line, field, value",
+    [(4, "verdict", "crashed"), (4, "error_category", "segfault"), (4, "error_category", 5), (4, "package_id", 3),
+     (4, "cleaning_mode", 1), (2, "fetch_status", ["ok"]), (2, "fetch_status", None)],
+)
+def test_report_on_a_record_it_cannot_fold_exits_6_naming_its_line(tmp_path: Path, capsys, line: int, field, value):
+    outcome = {"kind": "outcome", "file": "a.R", "interpreter_label": "R1", "cleaning_mode": "raw", "verdict": "error"}
+    records = [  # well formed but for the one field set below
+        {"kind": "config", "run_id": "r", "config": {}},
+        {"kind": "package", "package_id": "p1", "metadata": {"journal": "A"}, "fetch_status": "ok"},
+        {"kind": "package", "package_id": "p2", "metadata": {"journal": "B"}, "fetch_status": "partial"},
+        {**outcome, "package_id": "p1", "error_category": "setwd"},
+        {**outcome, "package_id": "p2", "error_category": "library"},
+    ]
+    records[line - 1][field] = value
+    store_path = tmp_path / "s.jsonl"
+    store_path.write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
+    capsys.readouterr()
+    assert main(["report", "--store", str(store_path), "--out", str(tmp_path / "o")]) == 6
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and f"at line {line} of {store_path}" in err
+
+
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False, allow_infinity=False)
+    | st.text(max_size=6) | st.sampled_from([*VERDICTS, *ERROR_CATEGORIES]),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=5,
+)
+# (line, key path) of each value of the store below that a report reads, or that loading its record reads
+_READ_FIELDS = [
+    (1, ("run_id",)),
+    *((2, (name,)) for name in ("package_id", "metadata", "publication_date", "fetch_status")),
+    (2, ("metadata", "journal")),
+    *((3, (name,)) for name in ("package_id", "file", "interpreter_label", "cleaning_mode", "verdict", "error_category")),
+    (4, ("package_id",)),
+    (4, ("mode",)),
+]
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.sampled_from(_READ_FIELDS), _JSON_VALUES)
+def test_report_on_any_value_in_a_field_it_reads_exits_0_or_6(target, value):
+    line, keys = target
+    records = [
+        {"kind": "config", "run_id": "r", "config": {}},
+        {"kind": "package", "package_id": "p", "metadata": {"journal": "J"}, "publication_date": "2019-01-01",
+         "fetch_status": "ok"},
+        {"kind": "outcome", "package_id": "p", "file": "a.R", "interpreter_label": "R1", "cleaning_mode": "cleaned",
+         "verdict": "error", "error_category": "setwd"},
+        {"kind": "package_event", "package_id": "p", "mode": "cleaned", "event": "completed"},
+    ]
+    holder = records[line - 1]
+    for key in keys[:-1]:
+        holder = holder[key]
+    holder[keys[-1]] = value
+    with tempfile.TemporaryDirectory() as tmp:
+        store_path = Path(tmp) / "s.jsonl"
+        store_path.write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
+        for extra in ([], ["--group-by", "version", "--format", "json"], ["--group-by", "journal", "--format", "csv"]):
+            err = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                code = main(["report", "--store", str(store_path), "--out", str(Path(tmp) / "o"), *extra])
+            assert code in (0, 6)
+            if code == 6:
+                message = err.getvalue()
+                assert message.startswith("error: ") and message.count("\n") == 1
+                assert f"at line {line} of {store_path}" in message
 
 
 DOCUMENTED_FLAGS = {

@@ -14,6 +14,8 @@ import pytest
 import reprorun.executor as executor_mod
 from reprorun.executor import (
     DEFAULT_STDERR_TAIL,
+    ERROR_CATEGORIES,
+    VERDICTS,
     Budget,
     ExecutionOutcome,
     InterpreterConfigError,
@@ -59,6 +61,14 @@ def test_classification_order_setwd_wins_over_file():
     # a setwd failure often also mentions the path; setwd rule is checked first
     stderr = 'Error in setwd("/gone") : cannot change working directory, No such file or directory'
     assert classify_error(stderr) == "setwd"
+
+
+def test_outcome_vocabulary_is_named_once():
+    assert VERDICTS == ("success", "error", "tle", "unassigned")
+    assert ERROR_CATEGORIES == ("setwd", "library", "file_path_output", "object_not_found", "other")
+    # one pattern per category, in the order the classifier tries them
+    assert [category for category, _ in executor_mod._CLASSIFICATION_RULES] == list(ERROR_CATEGORIES[:-1])
+    assert classify_error("Error: setwd failed") == "setwd"
 
 
 # --- single-file execution ----------------------------------------------------------

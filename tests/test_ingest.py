@@ -522,6 +522,27 @@ def test_manifest_path_that_leaves_its_package_is_refused(tmp_path: Path, relati
         load_manifest(path)
 
 
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("persistent_id", 5, "persistent_id is not a string"),
+        ("root", 5, "root is not a string"),
+        ("fetch_status", None, "fetch_status is not a string"),
+        ("size", "7", "file 'a.R' has a size that is not an integer"),
+    ],
+)
+def test_manifest_field_a_stage_cannot_read_is_refused(tmp_path: Path, field: str, value, message: str):
+    data = make_package(tmp_path, "pkg", {"a.R": "1\n"}).to_dict()
+    if field == "size":
+        data["files"][0]["size"] = value
+    else:
+        data[field] = value
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    with pytest.raises(CorpusError, match=f"manifest {re.escape(str(path))}: {re.escape(message)}"):
+        load_manifest(path)
+
+
 def test_package_slug():
     assert package_slug("doi:10.5072/FK2/ABC") == "10.5072_FK2_ABC"
     assert package_slug("local:my pkg") == "local_my_pkg"

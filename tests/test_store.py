@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import re
 import sys
 import threading
 from dataclasses import asdict
@@ -420,6 +421,51 @@ def test_package_field_of_a_type_reports_cannot_read_is_store_error(tmp_path: Pa
         store.append(lines[1])
     store.close()
     assert len(list(store.records)) == 1  # the record was never written
+
+
+@pytest.mark.parametrize(
+    "field, value, type_name",
+    [("fetch_status", None, "NoneType"), ("fetch_status", ["ok"], "list"), ("package_id", 3, "int")],
+)
+def test_package_fetch_status_or_id_that_is_not_a_string_is_store_error(tmp_path: Path, field, value, type_name):
+    lines = [{"kind": "config", "run_id": "r", "config": {}}, {"kind": "package", "package_id": "p", field: value}]
+    (tmp_path / "s.jsonl").write_text("".join(json.dumps(r) + "\n" for r in lines), encoding="utf-8")
+    with pytest.raises(StoreError, match=f"line 2 .*{type_name} in '{field}'"):
+        RunStore.load(tmp_path / "s.jsonl")
+
+
+_OUTCOME = {"kind": "outcome", "package_id": "p", "file": "a.R", "interpreter_label": "R1", "cleaning_mode": "raw",
+            "verdict": "error", "error_category": "setwd"}
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("verdict", "crashed"), ("error_category", "segfault"), ("error_category", 5), ("error_category", ["setwd"]),
+     ("package_id", 3), ("file", None), ("interpreter_label", True), ("cleaning_mode", 1)],
+)
+def test_outcome_off_the_outcome_vocabulary_is_store_error_naming_its_line(tmp_path: Path, field, value):
+    record = {**_OUTCOME, field: value}
+    lines = [{"kind": "config", "run_id": "r", "config": {}}, record]
+    (tmp_path / "s.jsonl").write_text("".join(json.dumps(r) + "\n" for r in lines), encoding="utf-8")
+    with pytest.raises(StoreError, match=f"line 2 .*{re.escape(repr(value))}"):
+        RunStore.load(tmp_path / "s.jsonl")
+    opened = RunStore.open(tmp_path / "s.jsonl")  # the writer reads no outcome until asked
+    with pytest.raises(StoreError, match="line 2"):
+        opened.outcomes()
+    opened.close()
+    store = RunStore.open(tmp_path / "new.jsonl")
+    assert store.outcomes() == []  # from here on, appended outcomes are built too
+    with pytest.raises(StoreError, match="appended"):
+        store.append(record)
+    store.close()
+    assert len(list(store.records)) == 1  # the record was never written
+
+
+def test_outcome_with_a_null_error_category_is_read(tmp_path: Path):
+    store = RunStore.open(tmp_path / "s.jsonl")
+    store.append({**_OUTCOME, "verdict": "success", "error_category": None})
+    store.close()
+    assert [o.verdict for o in RunStore.load(tmp_path / "s.jsonl").outcomes()] == ["success"]
 
 
 def test_outcomes_filter_by_mode(tmp_path: Path):
