@@ -20,7 +20,7 @@ from .config import (
     load_config,
     stub_interpreters,
 )
-from .executor import InterpreterConfigError, run_matrix
+from .executor import EVENT_INFRASTRUCTURE_FAILURE, EVENT_WORKSPACE_FAILURE, InterpreterConfigError, run_matrix
 from .ingest import CorpusError, IngestError, package_slug
 from .store import RunStore, StoreError
 
@@ -245,7 +245,7 @@ def cmd_run(args) -> int:
         # excluded packages stay visible in reports, with their fetch status
         for manifest in excluded:
             store.append_package(manifest)
-        n = 0
+        n, events_before = 0, len(store.events())
         for _ in run_matrix(
             runnable,
             config.interpreters,
@@ -262,6 +262,14 @@ def cmd_run(args) -> int:
     finally:
         store.close()
     print(f"recorded {n} outcomes in {store_path} (run {store.run_id})")
+    failures = (EVENT_WORKSPACE_FAILURE, EVENT_INFRASTRUCTURE_FAILURE)
+    failed = sum(event["event"] in failures for event in store.events()[events_before:])
+    if failed:
+        print(
+            f"failed units: {failed} (workspace_failure or infrastructure_failure);"
+            " they hold no outcome and run again on resume",
+            file=sys.stderr,
+        )
     return EXIT_OK
 
 

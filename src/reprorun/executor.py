@@ -1,14 +1,15 @@
 """Run R files under configured interpreters inside scratch workspaces.
 
 The unit of work is one package under one cleaning mode: ``run_matrix``
-schedules units over a thread pool, and the store marks each finished
-unit with one event, which is what a resumed run skips. Inside a unit,
-each interpreter starts in a workspace that holds exactly the package's
-fetched files, whose R files the cleaned mode cleans from the package's
-own sources. The unit copies them into one workspace for all of its
-interpreters and restores in place what each interpreter changed, added
-or removed, so a file the interpreters leave alone is copied once per
-unit. One remover deletes workspaces and entries, read-only ones too.
+schedules units over a thread pool and writes each to the store when it
+ends, its outcomes and then one event, which is what a resumed run
+skips. Inside a unit, each interpreter starts in a workspace that holds
+exactly the package's fetched files, whose R files the cleaned mode
+cleans from the package's own sources. The unit copies them into one
+workspace for all of its interpreters and restores in place what each
+interpreter changed, added or removed, so a file the interpreters leave
+alone is copied once per unit. One remover deletes workspaces and
+entries, read-only ones too.
 Files execute sequentially in lexicographic filename order against a
 per-file wall-clock budget and a cumulative per-package budget. Each
 child runs in its own process group. Its exit is awaited on a pidfd
@@ -220,8 +221,9 @@ def execute_file(
 ) -> ExecutionOutcome:
     """Run one script with the workspace as working directory.
 
-    The child runs in its own process group. Its exit is awaited on a
-    pidfd where the platform has one, else by polling ``Popen.wait``.
+    The child runs in its own process group, with ``/dev/null`` as its
+    stdin. Its exit is awaited on a pidfd where the platform has one,
+    else by polling ``Popen.wait``.
     The whole group is killed when the child exits or at budget expiry
     (verdict tle, no exit code), so background processes die with it.
     Exit 0 within budget is success; anything else is an error
@@ -254,6 +256,7 @@ def execute_file(
             proc = subprocess.Popen(
                 cmd,
                 cwd=workdir,
+                stdin=subprocess.DEVNULL,
                 stdout=subprocess.DEVNULL,
                 stderr=stderr_fh,
                 env=env,
@@ -387,7 +390,6 @@ def execute_package(
     cran_mirror: str = cleaner.DEFAULT_CRAN_MIRROR,
     keep_workspaces: bool = False,
     network_allowed: bool = True,
-    on_outcome=None,
 ) -> list[ExecutionOutcome]:
     """Run every R file of one package under every interpreter.
 
@@ -466,8 +468,6 @@ def execute_package(
                     )
                     remaining -= outcome.wall_time
                 outcomes.append(outcome)
-                if on_outcome is not None:
-                    on_outcome(outcome)
     finally:
         if not keep_workspaces:
             with contextlib.suppress(OSError):  # best effort: a removal cannot fail a finished unit
@@ -496,15 +496,15 @@ def run_matrix(
     runs resumable; the rest are submitted mode-major (every package's
     first mode before any package's second), so concurrent workers start
     on different packages.
-    Each unit ends with one event: completed, workspace_failure, or
-    infrastructure_failure (a crash inside that unit only).
 
-    The store is written per file, as each outcome arrives, but the
-    generator yields per unit: all of a unit's outcomes once it ends, in
-    order of unit completion. An InterpreterConfigError propagates when
-    its unit ends. Closing the generator early (as an interrupt in
-    ``reprorun run`` does) cancels the units that have not started and
-    waits for the running ones.
+    A unit reaches the store whole, when it ends: its outcomes, then its
+    completed event. A unit that fails writes only its failure event,
+    workspace_failure or infrastructure_failure (a crash inside that unit
+    only), and yields nothing; an InterpreterConfigError propagates and
+    its unit writes nothing. The generator yields each completed unit's
+    outcomes in order of unit completion. Closing it early (as an
+    interrupt in ``reprorun run`` does) cancels the units that have not
+    started and waits for the running ones.
     """
     validate_interpreters(interpreters)
     scratch_root = Path(scratch_root)
@@ -517,9 +517,8 @@ def run_matrix(
 
     def run_unit(manifest: PackageManifest, mode: str) -> list[ExecutionOutcome]:
         pid = manifest.ref.persistent_id
-        outcomes: list[ExecutionOutcome] = []
         try:
-            execute_package(
+            outcomes = execute_package(
                 manifest,
                 interpreters,
                 budget,
@@ -528,16 +527,18 @@ def run_matrix(
                 cran_mirror=cran_mirror,
                 keep_workspaces=keep_workspaces,
                 network_allowed=network_allowed,
-                on_outcome=lambda oc: (store.append_outcome(oc), outcomes.append(oc)),
             )
+            for outcome in outcomes:
+                store.append_outcome(outcome)
             store.append_event(pid, mode, EVENT_COMPLETED)
+            return outcomes
         except WorkspaceError as exc:
             store.append_event(pid, mode, EVENT_WORKSPACE_FAILURE, str(exc))
         except InterpreterConfigError:
             raise
         except Exception as exc:  # crashed worker: isolate to this unit
             store.append_event(pid, mode, EVENT_INFRASTRUCTURE_FAILURE, repr(exc))
-        return outcomes
+        return []
 
     pool = ThreadPoolExecutor(max_workers=jobs)
     try:

@@ -176,10 +176,11 @@ def load_manifest(path: Path | str) -> PackageManifest:
     """Read one saved manifest; a file that is not one raises CorpusError naming it.
 
     So does a field that a stage cannot read: a ``metadata`` that is
-    neither an object nor null, a ``persistent_id``, ``root`` or
-    ``fetch_status`` that is not a string, a file ``size`` that is not an
-    integer, or a listed file path that is empty, absolute or has a
-    ``..`` part, which would leave the package.
+    neither an object nor null, a ``publication_date`` that is neither a
+    string nor null, a ``persistent_id``, ``root`` or ``fetch_status``
+    that is not a string, a file ``size`` that is not an integer, or a
+    listed file path that is empty, absolute or has a ``..`` part, which
+    would leave the package.
     """
     try:
         data = json.loads(Path(path).read_text(encoding="utf-8"))
@@ -191,6 +192,8 @@ def load_manifest(path: Path | str) -> PackageManifest:
         for key in ("persistent_id", "root", "fetch_status"):  # the first two are required, so present here
             if not isinstance(data.get(key, ""), str):
                 raise ValueError(f"{key} is not a string")
+        if not isinstance(manifest.ref.publication_date, (str, type(None))):
+            raise ValueError("publication_date is neither a string nor null")
         for entry in manifest.files:
             parts = os.fspath(entry.relative_path).split("/")  # split, not Path: one per file, at every load
             if parts[0] == "" or ".." in parts or {"", "."}.issuperset(parts):  # absolute, climbing or empty

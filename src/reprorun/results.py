@@ -245,7 +245,7 @@ def compare_runs(raw: list[CombinedResult], cleaned: list[CombinedResult]) -> Cl
 
 
 def _subject_value(labels) -> str:
-    if isinstance(labels, str):
+    if not isinstance(labels, list):  # a string, or any other scalar or object, is one label
         labels = [labels]
     labels = [str(v) for v in labels if str(v).strip()]
     specific = [v for v in labels if v.strip().lower() not in _SOCIAL_SCIENCE]

@@ -251,11 +251,14 @@ class RunStore:
     def outcomes(self, mode: str | None = None) -> list[ExecutionOutcome]:
         """The latest outcome of each (package, file, interpreter, mode); a new list on every call.
 
-        A rerun of a unit writes every one of its files again, so its
-        outcomes supersede those of an attempt that was killed part-way;
-        a file removed from the package between the attempts keeps its
-        earlier outcome. Outcomes come in the log order of each key's
-        first record.
+        ``run_matrix`` writes a unit's outcomes when the unit ends, so a
+        store holds outcomes of a unit that did not complete only if an
+        earlier version wrote it, one outcome as each file ended, or if
+        the run was stopped among those writes. A rerun of the unit
+        writes every one of its files again, so its outcomes supersede
+        those; a file removed from the package between the attempts
+        keeps its earlier outcome. Outcomes come in the log order of
+        each key's first record.
         """
         with self._lock:
             if self._outcomes is None:  # an opened store reads its outcomes once, on first use

@@ -12,7 +12,7 @@ import tempfile
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from reprorun import cleaner, cli, ingest
@@ -336,6 +336,55 @@ def test_run_resume_is_idempotent(cli_corpus: Path, tmp_path: Path):
     assert len(store.packages()) == len(DEMO_PACKAGES)
 
 
+# Interpreter A runs a file that names A, B one that names B; each fails any other file.
+_CUT_INI = "".join(
+    f"[interpreter.{label}]\ncommand = sh -c 'grep -q {label} \"$0\" || {{ echo \"object x not found\" >&2; exit 1; }}'"
+    " {script}\n"
+    for label in ("A", "B")
+)
+
+
+def _reports_blanked(store_path: Path, out: Path) -> list[str]:
+    """report.json and grouped.json of one store, with the run id blanked."""
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["report", "--store", str(store_path), "--out", str(out), "--group-by", "version",
+                     "--format", "json"]) == 0
+    report = re.sub(r'"run_id": "\w*"', '"run_id": ""', (out / "report.json").read_text(encoding="utf-8"))
+    return [report, (out / "grouped.json").read_text(encoding="utf-8")]
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_a_store_cut_anywhere_and_resumed_gives_the_uncut_reports(tmp_path: Path, jobs: int):
+    for name, files in {"p1": ('x <- "A"\n', 'x <- "B"\n'), "p2": ('x <- "AB"\n', 'setwd("/gone")\n')}.items():
+        make_package(tmp_path / "corpus", name, dict(zip(("a.R", "b.R"), files)))
+    (tmp_path / "run.ini").write_text(_CUT_INI, encoding="utf-8")
+
+    def run(store_path: Path) -> None:
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main([
+                "run", "--corpus", str(tmp_path / "corpus"), "--store", str(store_path), "--config",
+                str(tmp_path / "run.ini"), "--modes", "raw,cleaned", "--jobs", str(jobs),
+                "--scratch", str(store_path.parent / "scratch"),
+            ]) == 0
+
+    (tmp_path / "uncut").mkdir()
+    run(tmp_path / "uncut" / "s.jsonl")
+    uncut = (tmp_path / "uncut" / "s.jsonl").read_bytes()
+    expected = _reports_blanked(tmp_path / "uncut" / "s.jsonl", tmp_path / "uncut" / "o")
+    line_ends = [i + 1 for i, byte in enumerate(uncut) if byte == ord("\n")]
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.sampled_from([0, *line_ends]) | st.integers(0, len(uncut)))
+    def cut_and_resume(cut: int):
+        with tempfile.TemporaryDirectory(dir=tmp_path) as tmp:
+            store_path = Path(tmp) / "s.jsonl"
+            store_path.write_bytes(uncut[:cut])
+            run(store_path)
+            assert _reports_blanked(store_path, Path(tmp) / "o") == expected
+
+    cut_and_resume()
+
+
 def test_analyze_csv_format(cli_corpus: Path, tmp_path: Path):
     out = tmp_path / "metrics-csv"
     assert main(["analyze", "--corpus", str(cli_corpus), "--out", str(out), "--format", "csv"]) == 0
@@ -419,6 +468,47 @@ def test_run_interpreter_that_cannot_start_exit_5(tmp_path: Path, capsys):
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: interpreter 'R9': ") and "Permission denied" in err[0]
     assert RunStore.load(store_path).outcomes() == []
+
+
+def test_run_gives_each_child_an_empty_stdin(tmp_path: Path):
+    make_package(tmp_path / "corpus", "pkg", {"a.R": "x <- 1\n", "b.R": "y <- 2\n"})
+    config = tmp_path / "run.ini"
+    config.write_text(
+        '[interpreter.sh]\ncommand = sh -c "read x && { echo got:$x >&2; exit 3; }; exit 0" {script}\n',
+        encoding="utf-8",
+    )
+    store_path = tmp_path / "s.jsonl"
+    # a subprocess, because pytest's capture already gives this process /dev/null as its stdin
+    proc = subprocess.run(
+        [sys.executable, "-m", "reprorun", "run", "--corpus", str(tmp_path / "corpus"), "--store", str(store_path),
+         "--config", str(config), "--modes", "raw", "--jobs", "1", "--scratch", str(tmp_path / "scratch")],
+        input="secret-from-parent\n", capture_output=True, text=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])},
+    )
+    assert proc.returncode == 0, proc.stderr
+    outcomes = RunStore.load(store_path).outcomes()
+    assert [(o.file, o.verdict, o.stderr_tail) for o in outcomes] == [("a.R", "success", ""), ("b.R", "success", "")]
+
+
+def test_run_counts_the_units_that_failed_on_stderr(tmp_path: Path, capsys):
+    corpus = _ingest_packages(tmp_path, {"pkg": {"a.R": "x <- 1\n", "data.csv": "1\n"}})
+    (tmp_path / "sources" / "pkg" / "data.csv").unlink()  # listed in the manifest, gone from the package
+    argv = [
+        "run", "--corpus", str(corpus), "--store", str(tmp_path / "s.jsonl"), "--stub", "--modes", "raw",
+        "--scratch", str(tmp_path / "scratch"),
+    ]
+    capsys.readouterr()
+    assert main(argv) == 0
+    out, err = capsys.readouterr()
+    assert out.startswith("recorded 0 outcomes in ")
+    assert err == (
+        "failed units: 1 (workspace_failure or infrastructure_failure);"
+        " they hold no outcome and run again on resume\n"
+    )
+    (tmp_path / "sources" / "pkg" / "data.csv").write_text("1\n", encoding="utf-8")
+    assert main(argv) == 0
+    out, err = capsys.readouterr()
+    assert out.startswith("recorded 3 outcomes in ") and err == ""  # one file under the three stub versions
 
 
 @pytest.mark.parametrize(
@@ -652,6 +742,14 @@ def _report_on_package_metadata_list(tmp_path: Path) -> list[str]:
     return ["report", "--store", str(store_path), "--out", str(tmp_path / "o"), "--group-by", "journal"]
 
 
+def _run_on_manifest_publication_date_int(tmp_path: Path) -> list[str]:
+    corpus = _ingested_corpus(tmp_path)
+    path = corpus / "manifests" / "local_pkg.json"
+    data = {**json.loads(path.read_text(encoding="utf-8")), "publication_date": 2019}
+    path.write_text(json.dumps(data), encoding="utf-8")
+    return ["run", "--corpus", str(corpus), "--store", str(tmp_path / "new.jsonl"), "--stub", "--modes", "raw"]
+
+
 def _report_on_year_date_int(tmp_path: Path) -> list[str]:
     store_path = _store_with(tmp_path, {"kind": "package", "package_id": "p", "publication_date": 2019})
     return ["report", "--store", str(store_path), "--out", str(tmp_path / "o"), "--group-by", "year"]
@@ -713,6 +811,7 @@ def _clean_on_manifest_parent_path(tmp_path: Path) -> list[str]:
         (_ingest_missing_local_dir, 2, True),
         (_ingest_metadata_without_value, 2, False),
         (_run_on_manifest_metadata_list, 2, False),
+        (_run_on_manifest_publication_date_int, 2, False),
         (_report_on_package_metadata_list, 6, False),
         (_report_on_year_date_int, 6, False),
         (_run_on_manifest_absolute_path, 2, False),
@@ -725,7 +824,8 @@ def _clean_on_manifest_parent_path(tmp_path: Path) -> list[str]:
         "report-disjoint-modes", "report-package-without-id", "run-completed-without-mode",
         "run-package-id-list", "report-package-id-list", "run-completed-mode-list", "report-completed-mode-list",
         "run-interpreter-without-script", "missing-local-dir", "ingest-metadata-without-value",
-        "run-manifest-metadata-list", "report-package-metadata-list", "report-year-date-int",
+        "run-manifest-metadata-list", "run-manifest-publication-date-int", "report-package-metadata-list",
+        "report-year-date-int",
         "run-manifest-absolute-path", "run-manifest-parent-path", "clean-manifest-absolute-path",
         "clean-manifest-parent-path",
     ],
@@ -963,6 +1063,8 @@ _READ_FIELDS = [
     (1, ("run_id",)),
     *((2, (name,)) for name in ("package_id", "metadata", "publication_date", "fetch_status")),
     (2, ("metadata", "journal")),
+    (2, ("metadata", "subject")),
+    (2, ("metadata", "year")),
     *((3, (name,)) for name in ("package_id", "file", "interpreter_label", "cleaning_mode", "verdict", "error_category")),
     (4, ("package_id",)),
     (4, ("mode",)),
@@ -971,6 +1073,7 @@ _READ_FIELDS = [
 
 @settings(max_examples=50, deadline=None)
 @given(st.sampled_from(_READ_FIELDS), _JSON_VALUES)
+@example((2, ("metadata", "subject")), 5)
 def test_report_on_any_value_in_a_field_it_reads_exits_0_or_6(target, value):
     line, keys = target
     records = [
@@ -988,7 +1091,13 @@ def test_report_on_any_value_in_a_field_it_reads_exits_0_or_6(target, value):
     with tempfile.TemporaryDirectory() as tmp:
         store_path = Path(tmp) / "s.jsonl"
         store_path.write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
-        for extra in ([], ["--group-by", "version", "--format", "json"], ["--group-by", "journal", "--format", "csv"]):
+        for extra in (
+            [],
+            ["--group-by", "version", "--format", "json"],
+            ["--group-by", "journal", "--format", "csv"],
+            ["--group-by", "subject", "--format", "json"],
+            ["--group-by", "year", "--format", "csv"],
+        ):
             err = io.StringIO()
             with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
                 code = main(["report", "--store", str(store_path), "--out", str(Path(tmp) / "o"), *extra])

@@ -29,7 +29,7 @@ from reprorun.executor import (
     run_matrix,
     validate_interpreters,
 )
-from reprorun.results import group_report
+from reprorun.results import combined_results, group_report, overview, render_json, success_rate
 from reprorun.store import RunStore
 
 from conftest import make_demo_corpus, make_package, stub_spec
@@ -663,3 +663,87 @@ def test_closing_the_stream_cancels_units_not_started(tmp_path: Path):
     stream.close()
     store.close()
     assert len(store.outcomes()) < 4
+
+
+# --- a unit reaches the store whole --------------------------------------------------
+#
+# Two packages whose a.R loads foo, under R1 (without foo) and R2 (with it): each
+# file succeeds only through R2, so an R1 outcome folded alone reads as an error.
+
+
+def _foo_corpus(tmp_path: Path):
+    return [make_package(tmp_path / "corpus", name, {"a.R": "library(foo)\n"}) for name in ("p1", "p2")]
+
+
+def _run_foo(manifests, path: Path, scratch: Path) -> list[ExecutionOutcome]:
+    store = RunStore.open(path)
+    try:
+        specs = [stub_spec("R1"), stub_spec("R2", preinstalled="foo")]
+        return list(run_matrix(manifests, specs, Budget(5, 10), ["raw"], store, scratch))
+    finally:
+        store.close()
+
+
+def _raw_file_success(path: Path) -> tuple[int, int]:
+    rate = success_rate(combined_results(RunStore.load(path).outcomes(), "raw"))
+    return rate.numerator, rate.denominator
+
+
+def _reports(path: Path) -> list[str]:
+    store = RunStore.load(path)
+    return [
+        render_json({**overview(store), "run_id": None}),
+        render_json(group_report(store, "interpreter_label", mode="raw")),
+    ]
+
+
+def test_a_unit_whose_restore_fails_leaves_no_outcome_and_runs_again_whole(tmp_path: Path, monkeypatch):
+    manifests = _foo_corpus(tmp_path)
+    fills = Counter()
+    real = executor_mod._fill_workspace
+
+    def fill(workspace, *args):
+        fills[workspace.name] += 1
+        if workspace.name == "local_p1__raw" and fills[workspace.name] == 2:  # the restore before R2
+            raise OSError(errno.ENOSPC, "simulated full disk")
+        return real(workspace, *args)
+
+    monkeypatch.setattr(executor_mod, "_fill_workspace", fill)
+    path = tmp_path / "store.jsonl"
+    assert [(o.package_id, o.interpreter_label) for o in _run_foo(manifests, path, tmp_path / "s")] == [
+        ("local:p2", "R1"), ("local:p2", "R2")
+    ]
+    store = RunStore.load(path)
+    assert {o.package_id for o in store.outcomes()} == {"local:p2"}
+    assert [(e["package_id"], e["event"]) for e in store.events()] == [
+        ("local:p1", "workspace_failure"), ("local:p2", "completed")
+    ]
+    assert _raw_file_success(path) == (1, 1)
+
+    monkeypatch.setattr(executor_mod, "_fill_workspace", real)
+    assert len(_run_foo(manifests, path, tmp_path / "s")) == 2  # the resume runs p1 again, in full
+    _run_foo(manifests, tmp_path / "clean.jsonl", tmp_path / "s-clean")
+    assert _raw_file_success(path) == (2, 2)
+    assert _reports(path) == _reports(tmp_path / "clean.jsonl")
+
+
+class _Stopped(BaseException):
+    """A stop that no handler of the harness catches, as a kill would leave the store."""
+
+
+def test_a_unit_that_never_ends_leaves_no_outcome(tmp_path: Path, monkeypatch):
+    manifests = _foo_corpus(tmp_path)
+    real = executor_mod.execute_file
+
+    def execute_file(script, interpreter, *args, **kwargs):
+        if kwargs["package_id"] == "local:p1" and interpreter.label == "R2":
+            raise _Stopped
+        return real(script, interpreter, *args, **kwargs)
+
+    monkeypatch.setattr(executor_mod, "execute_file", execute_file)
+    path = tmp_path / "store.jsonl"
+    with pytest.raises(_Stopped):
+        _run_foo(manifests, path, tmp_path / "s")
+    store = RunStore.load(path)
+    assert [o for o in store.outcomes() if o.package_id == "local:p1"] == []
+    assert [e for e in store.events() if e["package_id"] == "local:p1"] == []

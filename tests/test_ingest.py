@@ -529,6 +529,7 @@ def test_manifest_path_that_leaves_its_package_is_refused(tmp_path: Path, relati
         ("root", 5, "root is not a string"),
         ("fetch_status", None, "fetch_status is not a string"),
         ("size", "7", "file 'a.R' has a size that is not an integer"),
+        ("publication_date", 2019, "publication_date is neither a string nor null"),
     ],
 )
 def test_manifest_field_a_stage_cannot_read_is_refused(tmp_path: Path, field: str, value, message: str):

@@ -283,6 +283,7 @@ def test_subject_specificity_rule(tmp_path: Path):
     assert group_value({"metadata": {"subject": ["social science", "law"]}}, "subject") == "law"
     assert group_value({"metadata": {"subject": ["Social Sciences"]}}, "subject") == "Social Sciences"
     assert group_value({"metadata": {"subject": "law"}}, "subject") == "law"
+    assert group_value({"metadata": {"subject": 5}}, "subject") == "5"
     assert group_value({"metadata": {}}, "subject") == "(unlabeled)"
     store = _store_with(
         tmp_path,
